@@ -246,27 +246,3 @@ GAZETTEER: List[GazEntry] = [
         0.8,
     ),
 ]
-
-
-def default_config() -> DomainConfig:
-    return DomainConfig()
-
-
-def gazetteer_by_type() -> Dict[str, List[GazEntry]]:
-    out: Dict[str, List[GazEntry]] = {t: [] for t in ENTITY_TYPES}
-    for e in GAZETTEER:
-        out[e.entity_type].append(e)
-    return out
-
-
-def mention_key(entity_type: str, entry_attrs: Dict[str, Any], name: str) -> str:
-    """Serialize the reference-shaped entity key as one string.
-
-    people → name; orgs/locs → name\x1ftype; events → title\x1fstart_date
-    (reference key shapes: src/engine/mergers.py:114-139).
-    """
-    if entity_type == "people":
-        return name
-    if entity_type in ("organizations", "locations"):
-        return f"{name}\x1f{entry_attrs.get('type', '')}"
-    return f"{name}\x1f{entry_attrs.get('start_date', '')}"

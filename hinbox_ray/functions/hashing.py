@@ -12,7 +12,7 @@ rely on.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -116,34 +116,9 @@ def md5_ngram_embedding(
     return vec.astype(dtype)
 
 
-def ngram_embedding_matrix(
-    texts: Sequence[str], dim: int = 64, n: int = 3
-) -> np.ndarray:
-    """Batch version: (len(texts), dim) float32 matrix."""
-    out = np.zeros((len(texts), dim), dtype=np.float32)
-    for i, t in enumerate(texts):
-        out[i] = ngram_embedding(t, dim=dim, n=n)
-    return out
-
-
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity of two vectors (0.0 when either is zero)."""
     na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
-
-
-def stable_doc_key(url: str) -> int:
-    """64-bit partition/sort key from a url (lineage bucketing)."""
-    return int(hash_str_u64([url])[0])
-
-
-def min_timestamp(a: Optional[str], b: Optional[str]) -> Optional[str]:
-    """Earlier of two ISO-8601 timestamps (reference keeps the min
-    extraction timestamp on merge, src/engine/mergers.py:1158-1165)."""
-    if not a:
-        return b
-    if not b:
-        return a
-    return min(a, b)

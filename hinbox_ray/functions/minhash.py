@@ -32,14 +32,6 @@ def _hash_tokens(tokens: Sequence[str]) -> np.ndarray:
     return out
 
 
-def word_shingles(text: str, k: int = 3) -> List[str]:
-    """k-word shingles of whitespace-tokenized lowercased text."""
-    words = text.lower().split()
-    if len(words) < k:
-        return [" ".join(words)] if words else []
-    return [" ".join(words[i : i + k]) for i in range(len(words) - k + 1)]
-
-
 def char_shingles(text: str, k: int = 3) -> List[str]:
     s = text.lower()
     if len(s) <= k:
@@ -105,11 +97,6 @@ def jaccard(a: Sequence[str], b: Sequence[str]) -> float:
     if not sa or not sb:
         return 0.0
     return len(sa & sb) / len(sa | sb)
-
-
-def signature_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    """Estimated Jaccard from two minhash signatures."""
-    return float(np.mean(sig_a == sig_b))
 
 
 def simhash64(tokens: Sequence[str]) -> int:

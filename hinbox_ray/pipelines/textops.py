@@ -580,14 +580,15 @@ def _attach_grams(
     at corpus scale) — and the per-bucket kernel is one vectorized
     pandas merge. With ``dedup`` every pair (a, b) collapses to one
     row; the dedup is global because the key's ``side`` component
-    determines the bucket. Avoids ``Dataset.join`` (hash-join
-    misrouting + per-join actor spin-up; see stages/cogroup.py)."""
+    determines the bucket. Avoids ``Dataset.join`` (seconds of fixed
+    cost per call; see stages/cogroup.py)."""
+    from ..stages.cogroup import bucket_exchange
+
     gcol = "grams_a" if side == "doc_a" else "grams_b"
 
     def tag_left(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
             {
-                "bucket": (df[side].astype(np.int64) % n_buckets).to_numpy(),
                 "doc_a": df["doc_a"].astype(np.int64).to_numpy(),
                 "doc_b": df["doc_b"].astype(np.int64).to_numpy(),
                 "_src": np.int8(0),
@@ -595,14 +596,13 @@ def _attach_grams(
         )
         for c in ("grams_a", "grams_b"):
             out[c] = df[c].to_numpy() if c in df.columns else b""
-        return out[["bucket", "doc_a", "doc_b", "grams_a", "grams_b", "_src"]]
+        return out[["doc_a", "doc_b", "grams_a", "grams_b", "_src"]]
 
     def tag_right(t: pa.Table) -> pd.DataFrame:
         n = t.num_rows
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         out = pd.DataFrame(
             {
-                "bucket": ids % n_buckets,
                 "doc_a": ids if side == "doc_a" else np.int64(-1),
                 "doc_b": ids if side == "doc_b" else np.int64(-1),
                 "_src": np.full(n, 1, dtype=np.int8),
@@ -611,7 +611,7 @@ def _attach_grams(
         blobs = t["grams"].to_pylist()
         out["grams_a"] = blobs if side == "doc_a" else b""
         out["grams_b"] = blobs if side == "doc_b" else b""
-        return out[["bucket", "doc_a", "doc_b", "grams_a", "grams_b", "_src"]]
+        return out[["doc_a", "doc_b", "grams_a", "grams_b", "_src"]]
 
     def resolve_bucket(g: pd.DataFrame) -> pd.DataFrame:
         maps = g[g["_src"] == 1]
@@ -629,7 +629,7 @@ def _attach_grams(
             rows = rows.drop_duplicates(["doc_a", "doc_b"])
         lut = maps[[side, gcol]].drop_duplicates(side)
         rows = (
-            rows.drop(columns=["_src", "bucket", gcol])
+            rows.drop(columns=["_src", "_gbucket", gcol])
             .merge(lut, on=side, how="inner")
         )
         return rows[["doc_a", "doc_b", "grams_a", "grams_b"]]
@@ -638,8 +638,10 @@ def _attach_grams(
     right = sigs_ds.select_columns(["doc_id", "grams"]).map_batches(
         tag_right, batch_format="pyarrow"
     )
-    return left.union(right).groupby("bucket").map_groups(
-        resolve_bucket, batch_format="pandas"
+    return bucket_exchange(
+        left.union(right),
+        lambda df: df[side].to_numpy(np.int64) % n_buckets,
+        resolve_bucket,
     )
 
 
@@ -1857,7 +1859,11 @@ def doc_jaccard_join(
     corpus; above object-store scale it wants the parquet-checkpoint
     valve (state/lineage.py) like the k-means vector table.
     """
-    from ..stages.cogroup import bucketed_drop_duplicates, bucketed_map_groups
+    from ..stages.cogroup import (
+        bucket_exchange,
+        bucketed_drop_duplicates,
+        bucketed_map_groups,
+    )
 
     t_pct = int(threshold_pct)
 
@@ -1972,20 +1978,22 @@ def doc_jaccard_join(
     within = clusters.map_batches(within_f, batch_format="pandas")
 
     # ── stage 2: prefix-filter join over distinct sets ────────────────
+    # Each stage exchanges on a coarse bucket of its key (h % n_buckets,
+    # doc_id % n_buckets) and runs one vectorized pandas pass per
+    # bucket, not one kernel call per shingle or per set.
+    nb = np.uint64(n_buckets)
+
+    def h_bucket(df: pd.DataFrame) -> np.ndarray:
+        return (df["h"].to_numpy(np.uint64) % nb).astype(np.int64)
+
     def gram_rows(df: pd.DataFrame) -> pd.DataFrame:
-        doc_ids: list = []
-        hs: list = []
-        sizes: list = []
-        for doc_id, blob in zip(df["doc_id"], df["grams"]):
-            gh = np.frombuffer(blob, dtype=np.uint64)
-            doc_ids.extend([int(doc_id)] * gh.size)
-            hs.extend(gh.tolist())
-            sizes.extend([gh.size] * gh.size)
+        sets = [np.frombuffer(b, dtype=np.uint64) for b in df["grams"]]
+        sizes = np.array([g.size for g in sets], dtype=np.int64)
         return pd.DataFrame(
             {
-                "doc_id": pd.Series(doc_ids, dtype=np.int64),
-                "h": pd.Series(hs, dtype=np.uint64),
-                "size": pd.Series(sizes, dtype=np.int64),
+                "doc_id": np.repeat(df["doc_id"].to_numpy(np.int64), sizes),
+                "h": np.concatenate(sets) if sets else np.empty(0, np.uint64),
+                "size": np.repeat(sizes, sizes),
             }
         )
 
@@ -1993,48 +2001,43 @@ def doc_jaccard_join(
 
     # DF per shingle over distinct sets, attached in place
     def attach_df(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.copy()
-        out["df"] = np.int64(len(g))
-        return out
+        g = g[["doc_id", "h", "size"]]
+        return g.assign(df=g.groupby("h")["h"].transform("size"))
 
-    with_df = bucketed_map_groups(rows, "h", attach_df, n_buckets=n_buckets)
+    with_df = bucket_exchange(rows, h_bucket, attach_df)
 
     # prefix per set: rarest-first (df, h) order, length s - ceil(ts) + 1
     def prefix(g: pd.DataFrame) -> pd.DataFrame:
-        s = int(g["size"].iloc[0])
+        g = g.sort_values(["doc_id", "df", "h"], kind="mergesort")
+        s = g["size"].to_numpy(np.int64)
         p = s - (t_pct * s + 99) // 100 + 1
-        g = g.sort_values(["df", "h"], kind="mergesort").head(p)
-        return pd.DataFrame(
-            {
-                "h": g["h"].to_numpy(dtype=np.uint64),
-                "doc_id": g["doc_id"].to_numpy(dtype=np.int64),
-                "size": g["size"].to_numpy(dtype=np.int64),
-            }
-        )
+        keep = g.groupby("doc_id").cumcount().to_numpy() < p
+        return g.loc[keep, ["h", "doc_id", "size"]]
 
-    prefixes = bucketed_map_groups(with_df, "doc_id", prefix, n_buckets=n_buckets)
+    prefixes = bucket_exchange(
+        with_df, lambda df: df["doc_id"].to_numpy(np.int64) % n_buckets, prefix
+    )
 
-    # candidates: sets sharing a prefix shingle, length-filtered
-    # (vectorized: sort by size, emit the upper triangle, prune pairs
-    # whose size ratio alone rules the threshold out)
+    # candidates: sets sharing a prefix shingle, length-filtered — each
+    # pair once, in (size, doc_id) order (lo, hi), kept when the size
+    # ratio alone does not rule the threshold out
     def candidates(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["size", "doc_id"], kind="mergesort")
-        ids = g["doc_id"].to_numpy(dtype=np.int64)
-        sz = g["size"].to_numpy(dtype=np.int64)
-        ii, jj = np.triu_indices(len(ids), k=1)
-        keep = 100 * sz[ii] >= t_pct * sz[jj]  # sz sorted: lo=ii, hi=jj
-        ii, jj = ii[keep], jj[keep]
-        a = np.minimum(ids[ii], ids[jj])
-        b = np.maximum(ids[ii], ids[jj])
+        m = g[["h", "doc_id", "size"]]
+        m = m.merge(m, on="h", suffixes=("_lo", "_hi"))
+        lo_id, hi_id = m["doc_id_lo"].to_numpy(), m["doc_id_hi"].to_numpy()
+        lo_sz, hi_sz = m["size_lo"].to_numpy(), m["size_hi"].to_numpy()
+        ordered = (lo_sz < hi_sz) | ((lo_sz == hi_sz) & (lo_id < hi_id))
+        keep = ordered & (100 * lo_sz >= t_pct * hi_sz)
+        lo_id, hi_id = lo_id[keep], hi_id[keep]
         return pd.DataFrame(
             {
-                "doc_a": pd.Series(a, dtype=np.int64),
-                "doc_b": pd.Series(b, dtype=np.int64),
+                "doc_a": np.minimum(lo_id, hi_id),
+                "doc_b": np.maximum(lo_id, hi_id),
             }
-        )
+        ).drop_duplicates()
 
     cands = bucketed_drop_duplicates(
-        bucketed_map_groups(prefixes, "h", candidates, n_buckets=n_buckets),
+        bucket_exchange(prefixes, h_bucket, candidates),
         ["doc_a", "doc_b"],
         n_buckets=n_buckets,
     )

@@ -275,26 +275,6 @@ def raw_entities(mentions_ds):
         import ray.data as rd
 
         return rd.from_pandas(_empty_raw_entities())
-    if n_partials <= 65_536:
-        # small partial set: one narrow exchange + one vectorized
-        # reduce task instead of a sort shuffle — same size-gated
-        # hybrid decision as CC/minhash (measured 2.8 s → 0.6 s at
-        # bench scale; a 200k-partial reduce is sub-second in one task)
-        def reduce_all(df: pd.DataFrame) -> pd.DataFrame:
-            # ADVICE r3: a zero-mention corpus lands here with an empty
-            # frame — no groups, and pd.concat([]) raises. Emit the
-            # typed empty schema instead.
-            if df.empty:
-                return _empty_raw_entities()
-            outs = [
-                _regroup(sub)
-                for _, sub in df.groupby(_KEY_COLS, sort=True, dropna=False)
-            ]
-            return pd.concat(outs, ignore_index=True)
-
-        return combined.repartition(1).map_batches(
-            reduce_all, batch_format="pandas", batch_size=None
-        )
     # bucket count scales with the partial count (the CC rule): a tiny
     # vocabulary pays fixed per-group latency on empty buckets, a web-
     # scale one wants the full shuffle parallelism

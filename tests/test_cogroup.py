@@ -7,6 +7,26 @@ import numpy as np
 import pandas as pd
 import pytest
 
+# 1 block, and 8 or 49 blocks built as a lazy union — the shape a chain
+# of unions hands the co-group helpers
+BLOCK_COUNTS = (1, 8, 49)
+
+
+def _blocked(df: pd.DataFrame, n_blocks: int):
+    import ray.data as rd
+
+    parts = np.array_split(df, n_blocks)
+    if n_blocks == 1:
+        return rd.from_pandas(parts)
+    half = n_blocks // 2
+    return rd.from_pandas(parts[:half]).union(rd.from_pandas(parts[half:]))
+
+
+def _max_blocks(n_rows: int) -> int:
+    from hinbox_ray.stages.cogroup import COALESCE_ROWS
+
+    return -(-n_rows // COALESCE_ROWS)
+
 
 def _raw_frame(node_ids):
     n = len(node_ids)
@@ -55,6 +75,27 @@ def test_attach_component_matches_and_defaults(ray_session):
     # every raw column survives
     assert "evidence" in out.columns and "first_ord" in out.columns
 
+    # same attach from 1, 8 and 49 input blocks per side: equal output,
+    # and the exchange sees the sides coalesced by rows
+    many = [(1 << 62) + 7 * i for i in range(120)]
+    links = pd.DataFrame(
+        {
+            "node_id": np.array(many[::2], dtype=np.int64),
+            "component": np.array(many[::4], dtype=np.int64).repeat(2),
+        }
+    )
+    want = dict(zip(links.node_id, links.component))
+    for n in BLOCK_COUNTS:
+        res = attach_component(
+            _blocked(_raw_frame(many), n), _blocked(links, n)
+        ).materialize()
+        got = res.to_pandas()
+        assert len(got) == len(many)
+        assert dict(zip(got.node_id, got.component)) == {
+            nid: want.get(nid, nid) for nid in many
+        }
+        assert res.num_blocks() <= _max_blocks(len(many) + len(links)), n
+
 
 def test_attach_entity_id_inner_semantics(ray_session):
     import ray.data as rd
@@ -87,8 +128,6 @@ def test_bucketed_map_groups_matches_plain_groupby(ray_session):
     """The bucketed shuffle must be semantically identical to one Ray
     group per key — same groups, same kernel outputs — while creating
     only O(n_buckets) Ray groups."""
-    import ray.data as rd
-
     from hinbox_ray.stages.cogroup import bucketed_map_groups
 
     rng = np.random.default_rng(0)
@@ -99,7 +138,6 @@ def test_bucketed_map_groups_matches_plain_groupby(ray_session):
             "v": rng.integers(0, 100, 700).astype(np.int64),
         }
     )
-    ds = rd.from_pandas(df)
 
     def kernel(g: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -111,12 +149,6 @@ def test_bucketed_map_groups_matches_plain_groupby(ray_session):
             }
         )
 
-    got = (
-        bucketed_map_groups(ds, ["k", "k2"], kernel, n_buckets=7)
-        .to_pandas()
-        .sort_values(["k", "k2"])
-        .reset_index(drop=True)
-    )
     want = (
         df.groupby(["k", "k2"], sort=True)
         .apply(kernel, include_groups=True)
@@ -124,7 +156,36 @@ def test_bucketed_map_groups_matches_plain_groupby(ray_session):
         .sort_values(["k", "k2"])
         .reset_index(drop=True)
     )
-    pd.testing.assert_frame_equal(got, want)
+    # output independent of the input's block count; the exchange sees
+    # the input coalesced to ceil(rows / COALESCE_ROWS) blocks
+    for n in BLOCK_COUNTS:
+        res = bucketed_map_groups(
+            _blocked(df, n), ["k", "k2"], kernel, n_buckets=7
+        ).materialize()
+        got = res.to_pandas().sort_values(["k", "k2"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want)
+        assert res.num_blocks() <= _max_blocks(len(df)), n
+
+
+def test_bucketed_drop_duplicates_matches_pandas(ray_session):
+    """Exact distributed dedup, whatever the input's block count."""
+    from hinbox_ray.stages.cogroup import bucketed_drop_duplicates
+
+    rng = np.random.default_rng(1)
+    df = pd.DataFrame(
+        {
+            "u": rng.integers(0, 30, 700).astype(np.int64),
+            "v": rng.integers(0, 30, 700).astype(np.int64),
+        }
+    )
+    want = df.drop_duplicates().sort_values(["u", "v"]).reset_index(drop=True)
+    for n in BLOCK_COUNTS:
+        res = bucketed_drop_duplicates(
+            _blocked(df, n), ["u", "v"], n_buckets=7
+        ).materialize()
+        got = res.to_pandas().sort_values(["u", "v"]).reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, want)
+        assert res.num_blocks() <= _max_blocks(len(df)), n
 
 
 def test_attach_component_63bit_ids_exact(ray_session):

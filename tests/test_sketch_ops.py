@@ -146,48 +146,96 @@ def test_triangle_counts_match_bruteforce(ray_session):
     assert sum(truth.values()) % 3 == 0
 
 
-def test_jaccard_join_exact_vs_bruteforce(ray_session):
+def _edge_case_corpus(sf_dir: str) -> pd.DataFrame:
+    """Documents that stress the per-bucket join kernels, written as
+    16 parquet files so the read yields many blocks: every set shares
+    the shingle "common shared gram"; docs 1-3 have equal set sizes
+    (8), so their candidate order rests on doc_id alone, and each pair
+    of them shares 6 of 10 shingles — exactly at 100*i == 60*u."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    base = "common shared gram p q r s t"
+    texts = [f"{base} {x}1 {x}2" for x in "abc"]
+    texts.append("common shared gram p q r s x1 x2 x3")  # 5/11: below
+    rng = np.random.default_rng(7)
+    words = [f"w{i}" for i in range(40)]
+    for _ in range(60):
+        tail = " ".join(rng.choice(words, int(rng.integers(2, 9))))
+        texts.append(f"common shared gram {tail}")
+    docs = pd.DataFrame(
+        {"doc_id": np.arange(1, len(texts) + 1, dtype=np.int64), "text": texts}
+    )
+    out = os.path.join(sf_dir, "documents.parquet")
+    os.makedirs(out)
+    for i, part in enumerate(np.array_split(docs, 16)):
+        pq.write_table(
+            pa.Table.from_pandas(part, preserve_index=False),
+            os.path.join(out, f"part-{i:02d}.parquet"),
+        )
+    return docs
+
+
+def test_jaccard_join_exact_vs_bruteforce(ray_session, tmp_path):
     """doc_jaccard_join (prefix-filter candidates + verify) finds
     EXACTLY the pairs a quadratic all-pairs scan finds — the prefix
-    filter must be lossless at the threshold."""
+    filter must be lossless at the threshold. Runs on the fixture and
+    on a many-block edge-case corpus (``_edge_case_corpus``)."""
     import pyarrow.parquet as pq
 
     from hinbox_ray.pipelines.textops import _shingle_hashes, doc_jaccard_join
+    from hinbox_ray.sources.reader import read_parquet_clean
 
-    docs = pq.read_table(
-        f"{SF}/documents.parquet", columns=["doc_id", "text"]
-    ).to_pandas()
-    sets = {
-        int(d): set(_shingle_hashes(t).tolist())
-        for d, t in zip(docs["doc_id"], docs["text"])
-        if len(_shingle_hashes(t))
-    }
-    ids = sorted(sets)
-    truth = {}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            inter = len(sets[a] & sets[b])
-            union = len(sets[a]) + len(sets[b]) - inter
-            if 100 * inter >= 60 * union:
-                truth[(a, b)] = (
-                    inter,
-                    len(sets[a]),
-                    len(sets[b]),
-                    (2_000_000 * inter + union) // (2 * union),
-                )
+    edge_sf = str(tmp_path)
+    edge_docs = _edge_case_corpus(edge_sf)
+    assert read_parquet_clean(
+        f"{edge_sf}/documents.parquet"
+    ).materialize().num_blocks() >= 8
 
-    got = doc_jaccard_join(SF).to_pandas()
-    pairs = {
-        (int(r.doc_a), int(r.doc_b)): (
-            int(r.n_inter),
-            int(r.size_a),
-            int(r.size_b),
-            int(r.jac_e6),
-        )
-        for r in got.itertuples()
-    }
-    assert pairs == truth
-    assert len(truth) > 0  # non-vacuous
+    for sf in (SF, edge_sf):
+        docs = pq.read_table(
+            f"{sf}/documents.parquet", columns=["doc_id", "text"]
+        ).to_pandas()
+        sets = {
+            int(d): set(_shingle_hashes(t).tolist())
+            for d, t in zip(docs["doc_id"], docs["text"])
+            if len(_shingle_hashes(t))
+        }
+        ids = sorted(sets)
+        truth = {}
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
+                inter = len(sets[a] & sets[b])
+                union = len(sets[a]) + len(sets[b]) - inter
+                if 100 * inter >= 60 * union:
+                    truth[(a, b)] = (
+                        inter,
+                        len(sets[a]),
+                        len(sets[b]),
+                        (2_000_000 * inter + union) // (2 * union),
+                    )
+
+        got = doc_jaccard_join(sf).to_pandas()
+        pairs = {
+            (int(r.doc_a), int(r.doc_b)): (
+                int(r.n_inter),
+                int(r.size_a),
+                int(r.size_b),
+                int(r.jac_e6),
+            )
+            for r in got.itertuples()
+        }
+        assert pairs == truth, sf
+        assert len(truth) > 0  # non-vacuous
+
+    # the edge cases hold as built
+    assert len(edge_docs) == len(sets)
+    assert set.intersection(*sets.values())  # one shingle in every set
+    for pair in [(1, 2), (1, 3), (2, 3)]:
+        assert truth[pair] == (6, 8, 8, 600_000)  # 100*6 == 60*10
+    assert (1, 4) not in truth
 
 
 def test_source_percentiles_match_numpy(ray_session):
