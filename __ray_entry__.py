@@ -1,10 +1,16 @@
-"""Driver contract for the graft builder (Ray Data target).
+"""Entry points of the engine: ``entry()``, ``queries()`` and
+``oracle_sql()``.
 
 ``entry()`` runs the flagship KG-construction pipeline on sf0.001.
-``queries()`` exposes every implemented operator/pipeline (SURVEY.md §2
-+ the training-data toolbox); ``oracle_sql()`` gives the DuckDB
-equivalent for each SQL-expressible one. Ray is initialised by the
-driver before import — nothing here calls ray.init()/shutdown().
+``queries()`` is the registry of every implemented operator/pipeline
+(SURVEY.md §2 + the training-data toolbox): the graph queries live in
+``hinbox_ray/pipelines/graph.py``, the relational and text operators in
+``pipelines/analytics.py`` and ``pipelines/textops.py``. The query
+bodies kept here are the flagship KG variants with their profile,
+grounding and verdict views, the anchor-alias, increment and URL
+queries, and thin wrappers over stages. ``oracle_sql()`` gives the DuckDB equivalent for
+each SQL-expressible one. Ray is initialised by the caller before
+import — nothing here calls ray.init()/shutdown().
 """
 
 from __future__ import annotations
@@ -81,1713 +87,6 @@ def _kg_entities_planted(sf_dir: str) -> Any:
     ).sort(["entity_id"])
 
 
-def _kg_degree_planted(sf_dir: str) -> Any:
-    """Per-entity degree stats over the planted flagship graph — the
-    KG-analytics consumer of the triple output (total triples and
-    mentioned_in edges per subject). Per-block combiner → one native
-    hash aggregate on the entity-vocabulary key; the oracle wraps the
-    planted ground-truth SQL derivation as a subquery, so the whole
-    pipeline → graph → analytics path is value-hash-checked."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
-
-    from hinbox_ray.pipelines.kg import build_kg
-    from hinbox_ray.sources.planted import planted_pages_dataset
-
-    tri = build_kg(planted_pages_dataset(sf_dir)).triples
-
-    def combine(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                "subj": batch["subj"].to_pylist(),
-                "is_ment": (
-                    np.array(batch["pred"].to_pylist()) == "mentioned_in"
-                ).astype(np.int64),
-            }
-        )
-        g = df.groupby("subj", sort=True)
-        out = g.agg(
-            n_triples=("is_ment", "size"), n_mentions=("is_ment", "sum")
-        ).reset_index()
-        out["n_triples"] = out["n_triples"].astype(np.int64)
-        out["n_mentions"] = out["n_mentions"].astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    return (
-        tri.map_batches(combine, batch_format="pyarrow")
-        .groupby("subj")
-        .aggregate(
-            Sum("n_triples", alias_name="n_triples"),
-            Sum("n_mentions", alias_name="n_mentions"),
-        )
-        .sort("subj")
-    )
-
-
-def _kg_comention_planted(sf_dir: str) -> Any:
-    """Entity co-mention graph over the planted flagship output: an
-    edge (ea, eb, n_docs) for every entity pair mentioned in the same
-    document. Per-doc pair explode is bounded (entities per doc is a
-    small constant by corpus construction — gazetteer sentences carry
-    ≤2 surfaces each, docs carry ≤4 sentences), the per-url co-group
-    and the per-pair count both shuffle on 512-bucket keys. The oracle
-    self-joins the ground-truth mentioned_in derivation."""
-    import hashlib
-
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.pipelines.kg import build_kg
-    from hinbox_ray.sources.planted import planted_pages_dataset
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    tri = build_kg(planted_pages_dataset(sf_dir)).triples
-
-    def only_mentions(df: pd.DataFrame) -> pd.DataFrame:
-        m = df[df["pred"] == "mentioned_in"]
-        return pd.DataFrame(
-            {
-                "subj": m["subj"].to_numpy(),
-                "url": m["obj"].to_numpy(),
-            }
-        )
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ents = sorted(set(g["subj"]))
-        ea, eb = [], []
-        for i in range(len(ents)):
-            for j in range(i + 1, len(ents)):
-                ea.append(ents[i])
-                eb.append(ents[j])
-        return pd.DataFrame(
-            {
-                "ea": pd.Series(ea, dtype=object),
-                "eb": pd.Series(eb, dtype=object),
-                "n_docs": pd.Series(
-                    np.ones(len(ea), dtype=np.int64), dtype=np.int64
-                ),
-            }
-        )
-
-    def count_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby(["ea", "eb"], as_index=False, sort=True)[
-            "n_docs"
-        ].sum()
-        out["n_docs"] = out["n_docs"].astype(np.int64)
-        return out
-
-    def add_pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_pb"] = pd.Series(
-            [
-                int.from_bytes(
-                    hashlib.md5(f"{a}|{b}".encode()).digest()[8:], "little"
-                )
-                % 512
-                for a, b in zip(df["ea"], df["eb"])
-            ],
-            dtype=np.int64,
-        )
-        return df
-
-    mentions = tri.map_batches(only_mentions, batch_format="pandas")
-    per_url = bucketed_map_groups(mentions, "url", pairs)
-    return (
-        per_url.map_batches(add_pair_bucket, batch_format="pandas")
-        .groupby("_pb")
-        .map_groups(
-            lambda g: count_bucket(g.drop(columns=["_pb"])),
-            batch_format="pandas",
-        )
-        .sort(["ea", "eb"])
-    )
-
-
-def _kg_pagerank_planted(sf_dir: str, iters: int = 3) -> Any:
-    """Integer PageRank over the planted co-mention graph — the
-    iterative-graph-algorithm consumer of the KG output (the shape of
-    entity-salience ranking over a web-scale entity graph).
-
-    Exactness contract: ranks are integers scaled by 10^12, damping is
-    850/1000, every division is a floor — so the DuckDB oracle unrolls
-    the same ``iters`` rounds with ``//`` and matches hash-exactly (the
-    k-means-oracle trick applied to a graph recurrence). r0 = S // N;
-    r_{t+1}(v) = (150·(S // N)) // 1000 + (850·Σ_{u~v} r_t(u)//deg(u))
-    // 1000. Every comention node has ≥1 neighbor (it appears in an
-    edge), so the contribution join is total — no dangling-mass term.
-
-    Scale plan: each iteration is two bucketed co-groups (scatter
-    rank//deg along edges on src-hash, gather sums on dst-hash) — the
-    canonical edge-cut Pregel step expressed in Ray Data; edges never
-    materialize driver-side, and driver state is two scalars (N, the
-    teleport constant). T iterations = 2T shuffles, all on the same
-    512-bucket key space.
-    """
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    SCALE = 10**12
-    com = _kg_comention_planted(sf_dir)
-
-    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": pd.concat(
-                    [df["ea"], df["eb"]], ignore_index=True
-                ).astype(object),
-                "dst": pd.concat(
-                    [df["eb"], df["ea"]], ignore_index=True
-                ).astype(object),
-            }
-        )
-
-    edges = com.map_batches(both_dirs, batch_format="pandas")
-
-    def local_deg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("key", as_index=False, sort=True).size()
-        return pd.DataFrame(
-            {
-                "key": g["key"].astype(object),
-                "deg": g["size"].astype(np.int64),
-            }
-        )
-
-    def sum_deg(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": [g["key"].iloc[0]],
-                "deg": pd.Series([int(g["deg"].sum())], dtype=np.int64),
-            }
-        )
-
-    deg = bucketed_map_groups(
-        edges.map_batches(local_deg, batch_format="pandas"), "key", sum_deg
-    )
-    n_nodes = deg.count()  # node-vocabulary-scale driver scalar
-    r0 = SCALE // n_nodes
-    tele = (150 * r0) // 1000
-
-    def seed_rank(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out["rank"] = np.full(len(df), r0, dtype=np.int64)
-        return out
-
-    ranks = deg.map_batches(seed_rank, batch_format="pandas")
-
-    def tag_rank(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["key"].astype(object),
-                "dst": pd.Series([""] * len(df), dtype=object),
-                "deg": df["deg"].astype(np.int64),
-                "rank": df["rank"].astype(np.int64),
-                "kind": pd.Series(np.ones(len(df), dtype=np.int64)),
-            }
-        )
-
-    def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-        z = np.zeros(len(df), dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "key": df["key"].astype(object),
-                "dst": df["dst"].astype(object),
-                "deg": pd.Series(z),
-                "rank": pd.Series(z),
-                "kind": pd.Series(z),
-            }
-        )
-
-    def scatter(g: pd.DataFrame) -> pd.DataFrame:
-        src_row = g[g["kind"] == 1]
-        es = g[g["kind"] == 0]
-        contrib = int(src_row["rank"].iloc[0]) // int(src_row["deg"].iloc[0])
-        return pd.DataFrame(
-            {
-                "key": es["dst"].to_numpy(),
-                "contrib": pd.Series(
-                    np.full(len(es), contrib, dtype=np.int64)
-                ),
-                "kind": pd.Series(np.zeros(len(es), dtype=np.int64)),
-            }
-        )
-
-    def tag_deg(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["key"].astype(object),
-                "contrib": df["deg"].astype(np.int64),
-                "kind": pd.Series(np.ones(len(df), dtype=np.int64)),
-            }
-        )
-
-    def gather(g: pd.DataFrame) -> pd.DataFrame:
-        s = int(g.loc[g["kind"] == 0, "contrib"].sum())
-        d = int(g.loc[g["kind"] == 1, "contrib"].iloc[0])
-        return pd.DataFrame(
-            {
-                "key": [g["key"].iloc[0]],
-                "deg": pd.Series([d], dtype=np.int64),
-                "rank": pd.Series(
-                    [tele + (850 * s) // 1000], dtype=np.int64
-                ),
-            }
-        )
-
-    tagged_edges = edges.map_batches(tag_edge, batch_format="pandas")
-    tagged_deg = deg.map_batches(tag_deg, batch_format="pandas")
-    for _ in range(iters):
-        contribs = bucketed_map_groups(
-            ranks.map_batches(tag_rank, batch_format="pandas").union(
-                tagged_edges
-            ),
-            "key",
-            scatter,
-        )
-        ranks = bucketed_map_groups(
-            contribs.union(tagged_deg), "key", gather
-        )
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "subj": df["key"].astype(object),
-                "pagerank_e12": df["rank"].astype(np.int64),
-            }
-        )
-
-    return ranks.map_batches(finalize, batch_format="pandas").sort("subj")
-
-
-def _kg_neighbor_agg_planted(
-    sf_dir: str, min_docs: int = 4, rounds: int = 2
-) -> Any:
-    """GraphSAGE-mean-style neighbor feature aggregation over the
-    strong co-mention graph (edges seen in >= ``min_docs`` documents) —
-    the GNN message-passing primitive (feature smoothing / Laplacian
-    diffusion), a FOURTH recurrence family beside the sum (pagerank),
-    deletion (k-core), mode-argmax (labelprop) and min-frontier (BFS)
-    kernels: each round averages a node's own feature with the mean of
-    its neighbors' features.
-
-    Exactness contract: the seed feature is the node degree and the
-    recurrence is f_{t+1}(v) = (f_t(v) + (Σ_{u~v} f_t(u)) // deg(v))
-    // 2 in pure int64 floors, so the DuckDB oracle unrolls the same
-    ``rounds`` rounds and matches hash-exactly. Every node in the edge
-    table has deg >= 1, so the neighbor-sum join is total.
-
-    Emits (subj, f0, f1, f2) sorted by subj — the full smoothing
-    trajectory, so the hash pins every round, not just the fixpoint.
-
-    Scale plan: one round = the same two bucketed co-groups as the
-    pagerank step (scatter f_t along out-edges on src-hash, gather the
-    neighbor sum on dst-hash); the f0..f_t history rides inside the
-    node-state rows (entity-vocabulary scale), driver state is zero,
-    and T rounds = 2T shuffles on the same 512-bucket key space.
-    """
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    com = _kg_comention_planted(sf_dir)
-
-    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
-        s = df[df["n_docs"] >= min_docs]
-        return pd.DataFrame(
-            {
-                "key": pd.concat(
-                    [s["ea"], s["eb"]], ignore_index=True
-                ).astype(object),
-                "dst": pd.concat(
-                    [s["eb"], s["ea"]], ignore_index=True
-                ).astype(object),
-            }
-        )
-
-    edges = com.map_batches(both_dirs, batch_format="pandas")
-
-    def local_deg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("key", as_index=False, sort=True).size()
-        return pd.DataFrame(
-            {
-                "key": g["key"].astype(object),
-                "deg": g["size"].astype(np.int64),
-            }
-        )
-
-    def sum_deg(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": [g["key"].iloc[0]],
-                "deg": pd.Series([int(g["deg"].sum())], dtype=np.int64),
-            }
-        )
-
-    deg = bucketed_map_groups(
-        edges.map_batches(local_deg, batch_format="pandas"), "key", sum_deg
-    )
-
-    # One shared row schema for state / edge / contrib rows so union +
-    # co-group works: (key, dst, deg, fs, val, kind). ``fs`` is the
-    # '|'-joined feature history (f0..f_t); kind 1=state, 0=edge,
-    # 2=contrib.
-    def seed_state(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["key"].astype(object),
-                "dst": pd.Series([""] * len(df), dtype=object),
-                "deg": df["deg"].astype(np.int64),
-                "fs": df["deg"].astype(np.int64).astype(str).astype(object),
-                "val": np.zeros(len(df), dtype=np.int64),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
-        )
-
-    def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-        z = np.zeros(len(df), dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "key": df["key"].astype(object),
-                "dst": df["dst"].astype(object),
-                "deg": pd.Series(z),
-                "fs": pd.Series([""] * len(df), dtype=object),
-                "val": pd.Series(z),
-                "kind": pd.Series(z),
-            }
-        )
-
-    def scatter(g: pd.DataFrame) -> pd.DataFrame:
-        st = g[g["kind"] == 1].iloc[0]
-        f_t = int(st["fs"].rsplit("|", 1)[-1])
-        es = g[g["kind"] == 0]
-        return pd.DataFrame(
-            {
-                "key": es["dst"].to_numpy(),
-                "dst": pd.Series([""] * len(es), dtype=object),
-                "deg": np.zeros(len(es), dtype=np.int64),
-                "fs": pd.Series([""] * len(es), dtype=object),
-                "val": np.full(len(es), f_t, dtype=np.int64),
-                "kind": np.full(len(es), 2, dtype=np.int64),
-            }
-        )
-
-    def gather(g: pd.DataFrame) -> pd.DataFrame:
-        st = g[g["kind"] == 1].iloc[0]
-        s = int(g.loc[g["kind"] == 2, "val"].sum())
-        f_t = int(st["fs"].rsplit("|", 1)[-1])
-        deg_v = int(st["deg"])
-        f_next = (f_t + s // deg_v) // 2
-        return pd.DataFrame(
-            {
-                "key": [st["key"]],
-                "dst": pd.Series([""], dtype=object),
-                "deg": pd.Series([deg_v], dtype=np.int64),
-                "fs": pd.Series([f"{st['fs']}|{f_next}"], dtype=object),
-                "val": pd.Series([0], dtype=np.int64),
-                "kind": pd.Series([1], dtype=np.int64),
-            }
-        )
-
-    state = deg.map_batches(seed_state, batch_format="pandas")
-    tagged_edges = edges.map_batches(tag_edge, batch_format="pandas")
-    for _ in range(rounds):
-        contribs = bucketed_map_groups(
-            state.union(tagged_edges), "key", scatter
-        )
-        state = bucketed_map_groups(contribs.union(state), "key", gather)
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        parts = df["fs"].str.split("|", expand=True).astype(np.int64)
-        out = pd.DataFrame({"subj": df["key"].astype(object)})
-        for t in range(rounds + 1):
-            out[f"f{t}"] = parts[t].to_numpy(dtype=np.int64)
-        return out
-
-    return state.map_batches(finalize, batch_format="pandas").sort("subj")
-
-
-def _kg_components_planted(sf_dir: str, min_docs: int = 8) -> Any:
-    """Connected components of the strong co-mention graph (edges seen
-    in >= ``min_docs`` documents) — the community-detection consumer of
-    the KG output, driving the SAME star-contraction CC stage the
-    entity-resolution path uses (stages/cc.py), but value-checked here
-    against an independent recursive-CTE transitive closure in DuckDB.
-    At the planted corpus's threshold the graph splits into 4
-    non-trivial communities, so the check is not vacuous.
-
-    Emits (subj, component_rep) — component_rep is the
-    lexicographically smallest entity name in the component, computed
-    inside a per-component co-group kernel (never collected
-    driver-side).
-
-    Scale plan: entity names map to int64 ids (md5 >> 1) for the CC
-    stage; the name attach and the rep election are two bucketed
-    co-groups (node-hash, then component-hash) — component maps are
-    corpus-scale in the worst case and never materialize on the
-    driver (the CC stage's early-driver-finish hybrid handles the
-    small case automatically).
-    """
-    import hashlib
-
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cc import connected_components
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    com = _kg_comention_planted(sf_dir)
-
-    def strong(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["n_docs"] >= min_docs][["ea", "eb"]]
-
-    strong_edges = com.map_batches(strong, batch_format="pandas")
-
-    def _name_id(names) -> np.ndarray:
-        return np.fromiter(
-            (
-                int.from_bytes(
-                    hashlib.md5(s.encode()).digest()[8:], "little"
-                )
-                >> 1
-                for s in names
-            ),
-            dtype=np.int64,
-            count=len(names),
-        )
-
-    def to_int_edges(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "u": pd.Series(_name_id(df["ea"].tolist()), dtype=np.int64),
-                "v": pd.Series(_name_id(df["eb"].tolist()), dtype=np.int64),
-            }
-        )
-
-    comps = connected_components(
-        strong_edges.map_batches(to_int_edges, batch_format="pandas")
-    )
-
-    # node-name table: every endpoint of a strong edge, deduped later
-    # inside the node-hash co-group
-    def node_names(df: pd.DataFrame) -> pd.DataFrame:
-        names = pd.concat([df["ea"], df["eb"]], ignore_index=True)
-        return pd.DataFrame(
-            {
-                "node_id": pd.Series(_name_id(names.tolist()), dtype=np.int64),
-                "name": names.astype(object),
-                "component": pd.Series(
-                    np.full(len(names), -1, dtype=np.int64)
-                ),
-            }
-        )
-
-    def tag_comp(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node_id": df["node_id"].astype(np.int64),
-                "name": pd.Series([""] * len(df), dtype=object),
-                "component": df["component"].astype(np.int64),
-            }
-        )
-
-    def attach_name(g: pd.DataFrame) -> pd.DataFrame:
-        comp = int(g.loc[g["component"] >= 0, "component"].iloc[0])
-        name = g.loc[g["component"] < 0, "name"].iloc[0]
-        return pd.DataFrame(
-            {
-                "component": pd.Series([comp], dtype=np.int64),
-                "name": pd.Series([name], dtype=object),
-            }
-        )
-
-    named = bucketed_map_groups(
-        strong_edges.map_batches(node_names, batch_format="pandas").union(
-            comps.map_batches(tag_comp, batch_format="pandas")
-        ),
-        "node_id",
-        attach_name,
-    )
-
-    def elect_rep(g: pd.DataFrame) -> pd.DataFrame:
-        rep = g["name"].min()
-        return pd.DataFrame(
-            {
-                "subj": g["name"].astype(object),
-                "component_rep": pd.Series([rep] * len(g), dtype=object),
-            }
-        )
-
-    return bucketed_map_groups(named, "component", elect_rep).sort("subj")
-
-
-def _kg_triangles_planted(sf_dir: str, min_docs: int = 4) -> Any:
-    """Per-node triangle counts of the strong co-mention graph (edges
-    seen in >= ``min_docs`` documents) — the clustering-coefficient /
-    community-cohesion primitive over the KG output, implemented as the
-    canonical degree-ordered wedge-check (Cohen's MapReduce triangle
-    algorithm / Suri & Vassilvitskii, WWW'11): orient every edge from
-    its lower-(degree, name) endpoint to the higher one, generate
-    out-neighbor wedges per source, and close each wedge against the
-    undirected edge set. At ``min_docs=4`` the planted graph keeps 166
-    triangles over a sparse subgraph, so the check is non-vacuous and
-    most wedges do NOT close (the closure join is actually exercised).
-
-    Emits (subj, n_triangles) for every node of the strong graph,
-    zeros included, sorted by subj. The DuckDB oracle recomputes the
-    triangle set via an independent three-way self-join.
-
-    Scale plan: degree orientation bounds per-source out-degree by
-    O(sqrt(m)) on skewed graphs, so the wedge explosion is O(m^1.5)
-    total — the standard bound; degrees, the two degree-attaches, the
-    wedge generation, the closure check and the final count are all
-    bucketed co-groups (node-hash or pair-hash keys), edges never
-    materialize driver-side, and driver state is zero.
-    """
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    com = _kg_comention_planted(sf_dir)
-
-    def strong(df: pd.DataFrame) -> pd.DataFrame:
-        # reset_index: downstream kernels build frames from these
-        # columns; a filtered (non-contiguous) index would misalign
-        # against fresh RangeIndex series
-        return (
-            df[df["n_docs"] >= min_docs][["ea", "eb"]]
-            .reset_index(drop=True)
-        )
-
-    edges = com.map_batches(strong, batch_format="pandas")
-
-    # degree per node: per-block combine -> bucketed sum
-    def local_deg(df: pd.DataFrame) -> pd.DataFrame:
-        names = pd.concat([df["ea"], df["eb"]], ignore_index=True)
-        g = (
-            names.to_frame("key")
-            .groupby("key", as_index=False, sort=True)
-            .size()
-        )
-        return pd.DataFrame(
-            {
-                "key": g["key"].astype(object),
-                "deg": g["size"].astype(np.int64),
-            }
-        )
-
-    def sum_deg(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": [g["key"].iloc[0]],
-                "deg": pd.Series([int(g["deg"].sum())], dtype=np.int64),
-            }
-        )
-
-    deg = bucketed_map_groups(
-        edges.map_batches(local_deg, batch_format="pandas"), "key", sum_deg
-    )
-
-    # attach each endpoint's degree: tagged union + node-hash co-group
-    # (deg rows carry deg >= 1; edge rows are tagged deg = -1)
-    def tag_deg(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["key"].to_numpy(),
-                "other": pd.Series([""] * len(df), dtype=object),
-                "deg": df["deg"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    def edge_keyed(df: pd.DataFrame, key_col: str, other_col: str) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df[key_col].to_numpy(),
-                "other": df[other_col].to_numpy(),
-                "deg": np.full(len(df), -1, dtype=np.int64),
-            }
-        )
-
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        d = int(g.loc[g["deg"] >= 0, "deg"].iloc[0])
-        es = g[g["deg"] < 0]
-        return pd.DataFrame(
-            {
-                "key": es["key"].to_numpy(),
-                "other": es["other"].to_numpy(),
-                "key_deg": pd.Series(np.full(len(es), d, dtype=np.int64)),
-            }
-        )
-
-    with_da = bucketed_map_groups(
-        edges.map_batches(
-            lambda df: edge_keyed(df, "ea", "eb"), batch_format="pandas"
-        ).union(deg.map_batches(tag_deg, batch_format="pandas")),
-        "key",
-        attach,
-    )
-
-    def flip(df: pd.DataFrame) -> pd.DataFrame:
-        # re-key on the other endpoint, carrying deg_a along
-        return pd.DataFrame(
-            {
-                "key": df["other"].to_numpy(),
-                "other": df["key"].to_numpy(),
-                "deg": (-df["key_deg"].to_numpy() - 1).astype(np.int64),  # < 0 tag
-            }
-        )
-
-    def attach_b(g: pd.DataFrame) -> pd.DataFrame:
-        d = int(g.loc[g["deg"] >= 0, "deg"].iloc[0])
-        es = g[g["deg"] < 0]
-        return pd.DataFrame(
-            {
-                "eb": es["key"].to_numpy(),
-                "ea": es["other"].to_numpy(),
-                "deg_a": (-es["deg"] - 1).to_numpy(dtype=np.int64),
-                "deg_b": pd.Series(np.full(len(es), d, dtype=np.int64)),
-            }
-        )
-
-    both = bucketed_map_groups(
-        with_da.map_batches(flip, batch_format="pandas").union(
-            deg.map_batches(tag_deg, batch_format="pandas")
-        ),
-        "key",
-        attach_b,
-    )
-
-    # orient: src = lower-(deg, name) endpoint (ea < eb already)
-    def orient(df: pd.DataFrame) -> pd.DataFrame:
-        a_first = (df["deg_a"] <= df["deg_b"]).to_numpy()
-        return pd.DataFrame(
-            {
-                "src": pd.Series(
-                    np.where(a_first, df["ea"], df["eb"]), dtype=object
-                ),
-                "dst": pd.Series(
-                    np.where(a_first, df["eb"], df["ea"]), dtype=object
-                ),
-            }
-        )
-
-    oriented = both.map_batches(orient, batch_format="pandas")
-
-    def wedges(g: pd.DataFrame) -> pd.DataFrame:
-        nb = sorted(g["dst"])
-        lo, hi = [], []
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                lo.append(nb[i])
-                hi.append(nb[j])
-        return pd.DataFrame(
-            {
-                "lo": pd.Series(lo, dtype=object),
-                "hi": pd.Series(hi, dtype=object),
-                "wit": pd.Series(
-                    [g["src"].iloc[0]] * len(lo), dtype=object
-                ),
-                "kind": pd.Series(np.zeros(len(lo), dtype=np.int64)),
-            }
-        )
-
-    wed = bucketed_map_groups(oriented, "src", wedges)
-
-    # closure: wedge (lo, hi) is a triangle iff the undirected edge
-    # (lo, hi) exists — both are in ea<eb string order by construction
-    def tag_edge_pair(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "lo": df["ea"].to_numpy(),
-                "hi": df["eb"].to_numpy(),
-                "wit": pd.Series([""] * len(df), dtype=object),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
-        )
-
-    def close(g: pd.DataFrame) -> pd.DataFrame:
-        w = g[g["kind"] == 0]
-        if not (g["kind"] == 1).any() or not len(w):
-            return pd.DataFrame(
-                {
-                    "subj": pd.Series([], dtype=object),
-                    "n_triangles": pd.Series([], dtype=np.int64),
-                }
-            )
-        nodes = pd.concat([w["lo"], w["hi"], w["wit"]], ignore_index=True)
-        return pd.DataFrame(
-            {
-                "subj": nodes.astype(object),
-                "n_triangles": pd.Series(
-                    np.ones(len(nodes), dtype=np.int64)
-                ),
-            }
-        )
-
-    tri_inc = bucketed_map_groups(
-        wed.union(edges.map_batches(tag_edge_pair, batch_format="pandas")),
-        ["lo", "hi"],
-        close,
-    )
-
-    # per-node totals, zeros included (every strong-graph node has a
-    # deg row): per-block combine -> bucketed sum
-    def zeros(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "subj": df["key"].to_numpy(),
-                "n_triangles": np.zeros(len(df), dtype=np.int64),
-            }
-        )
-
-    def local_cnt(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("subj", as_index=False, sort=True)["n_triangles"].sum()
-        g["n_triangles"] = g["n_triangles"].astype(np.int64)
-        return g
-
-    def sum_cnt(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "subj": [g["subj"].iloc[0]],
-                "n_triangles": pd.Series(
-                    [int(g["n_triangles"].sum())], dtype=np.int64
-                ),
-            }
-        )
-
-    return bucketed_map_groups(
-        tri_inc.union(deg.map_batches(zeros, batch_format="pandas"))
-        .map_batches(local_cnt, batch_format="pandas"),
-        "subj",
-        sum_cnt,
-    ).sort("subj")
-
-
-def _kg_kcore_planted(
-    sf_dir: str, min_docs: int = 6, k: int = 4, rounds: int = 5
-) -> Any:
-    """k-core decomposition of the strong co-mention graph (edges seen
-    in >= ``min_docs`` documents) — the degeneracy/cohesion primitive
-    over the KG output, completing the graph-consumer family
-    (degree → pagerank → components → triangles → k-core). Classic
-    iterative peeling: repeatedly delete nodes of degree < ``k`` until
-    a fixpoint; a node is in the k-core iff it survives.
-
-    Exactness contract: exactly ``rounds`` peel rounds run (the DuckDB
-    oracle unrolls the same rounds as chained CTEs — the
-    pagerank-oracle trick applied to a deletion recurrence). On the
-    planted graph at (min_docs=6, k=4) the peel cascades for 3 rounds
-    (23 nodes → a 5-node core; each round's deletions drop new nodes
-    below k, so the ITERATION is actually exercised) and rounds=5
-    leaves 2 rounds of fixpoint margin; the fixpoint is pinned
-    independently in tests against a peel-until-stable loop.
-
-    Emits (subj, in_core, deg_in_core) for every strong-graph node,
-    sorted by subj.
-
-    Scale plan: each round is one Pregel-style superstep = 3 bucketed
-    co-groups (endpoint-count degree sum, then survivor-filter on ea,
-    then on eb) on node-hash keys; the edge table is
-    entity-graph-scale (≪ corpus) and is re-materialized ONCE per
-    round — the superstep barrier — so lineage does not double per
-    round (edges feed both the next filter and the degree recount);
-    the degree table stays lazy (single consumer per round). 64
-    buckets + a pre-barrier repartition keep the per-round block count
-    O(parallelism) rather than O(buckets) — with tiny per-bucket
-    groups the executor's per-block fixed cost IS the stage. Driver
-    state is zero; deletions never collect driver-side.
-    """
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    com = _kg_comention_planted(sf_dir)
-
-    def strong(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df[df["n_docs"] >= min_docs][["ea", "eb"]]
-            .reset_index(drop=True)
-        )
-
-    def local_deg(df: pd.DataFrame) -> pd.DataFrame:
-        names = pd.concat([df["ea"], df["eb"]], ignore_index=True)
-        g = (
-            names.to_frame("key")
-            .groupby("key", as_index=False, sort=True)
-            .size()
-        )
-        return pd.DataFrame(
-            {
-                "key": g["key"].astype(object),
-                "deg": g["size"].astype(np.int64),
-            }
-        )
-
-    def sum_deg(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": [g["key"].iloc[0]],
-                "deg": pd.Series([int(g["deg"].sum())], dtype=np.int64),
-            }
-        )
-
-    def degrees(edge_ds):
-        return bucketed_map_groups(
-            edge_ds.map_batches(local_deg, batch_format="pandas"),
-            "key",
-            sum_deg,
-            n_buckets=64,
-        )
-
-    # survivor-filter co-group: edge rows (kind=0) keyed on one
-    # endpoint, survivor markers (kind=1); keep edges iff the keyed
-    # endpoint survives this round
-    def edge_keyed(df: pd.DataFrame, key_col: str) -> pd.DataFrame:
-        other = "eb" if key_col == "ea" else "ea"
-        return pd.DataFrame(
-            {
-                "key": df[key_col].to_numpy(),
-                "other": df[other].to_numpy(),
-                "kind": np.zeros(len(df), dtype=np.int64),
-            }
-        )
-
-    def survivor_marks(df: pd.DataFrame) -> pd.DataFrame:
-        s = df[df["deg"] >= k]
-        return pd.DataFrame(
-            {
-                "key": s["key"].to_numpy(),
-                "other": pd.Series([""] * len(s), dtype=object),
-                "kind": np.ones(len(s), dtype=np.int64),
-            }
-        )
-
-    def keep_alive(key_col: str):
-        other = "eb" if key_col == "ea" else "ea"
-
-        def kernel(g: pd.DataFrame) -> pd.DataFrame:
-            es = g[g["kind"] == 0]
-            if not (g["kind"] == 1).any() or not len(es):
-                return pd.DataFrame(
-                    {
-                        "ea": pd.Series([], dtype=object),
-                        "eb": pd.Series([], dtype=object),
-                    }
-                )
-            return pd.DataFrame(
-                {
-                    key_col: es["key"].to_numpy(),
-                    other: es["other"].to_numpy(),
-                }
-            )[["ea", "eb"]]
-
-        return kernel
-
-    edges = (
-        com.map_batches(strong, batch_format="pandas")
-        .repartition(4)
-        .materialize()
-    )
-    nodes0 = degrees(edges).repartition(4).materialize()
-
-    deg = nodes0  # lazy after round 1; single consumer per round
-    for _ in range(rounds):
-        for key_col in ("ea", "eb"):
-            edges = bucketed_map_groups(
-                edges.map_batches(
-                    lambda df, kc=key_col: edge_keyed(df, kc),
-                    batch_format="pandas",
-                ).union(
-                    deg.map_batches(survivor_marks, batch_format="pandas")
-                ),
-                "key",
-                keep_alive(key_col),
-                n_buckets=64,
-            )
-        # superstep barrier: one execution per round, lineage cut
-        edges = edges.repartition(4).materialize()
-        deg = degrees(edges)
-
-    # final attach: every initial node LEFT JOIN the post-peel degree
-    def tag_init(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["key"].to_numpy(),
-                "deg": np.full(len(df), -1, dtype=np.int64),
-            }
-        )
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        survived = g[g["deg"] >= 0]
-        d = int(survived["deg"].iloc[0]) if len(survived) else 0
-        return pd.DataFrame(
-            {
-                "subj": [g["key"].iloc[0]],
-                "in_core": pd.Series(
-                    [1 if len(survived) else 0], dtype=np.int64
-                ),
-                "deg_in_core": pd.Series([d], dtype=np.int64),
-            }
-        )
-
-    return bucketed_map_groups(
-        nodes0.map_batches(tag_init, batch_format="pandas").union(deg),
-        "key",
-        finalize,
-        n_buckets=64,
-    ).sort("subj")
-
-
-def _kg_linkpred_planted(sf_dir: str, min_docs: int = 4) -> Any:
-    """Common-neighbor link prediction over the strong co-mention
-    graph (edges seen in >= ``min_docs`` documents) — the
-    KG-completion primitive: for every NON-adjacent entity pair with
-    at least one common neighbor, emit the common-neighbor count and
-    the integer-e6 Jaccard of the two neighborhoods,
-    ``jac_e6 = (10^6·cn) // (deg_a + deg_b − cn)`` — the classic
-    missing-edge suggestion score. At min_docs=4 the planted graph
-    yields 142 predicted non-edges out of 244 wedge pairs, so the
-    existing-edge anti-join is genuinely exercised.
-
-    Emits (ea, eb, cn, jac_e6), ea < eb, sorted. The DuckDB oracle
-    re-derives the same scores by an independent wedge self-join +
-    NOT EXISTS anti-join.
-
-    Scale plan: wedge generation is per-node over the FULL neighbor
-    list (unlike the triangle count, the degree-orientation trick
-    does not apply — every common neighbor must witness the pair), so
-    the cost is Σ deg² and hub nodes dominate; at web scale this
-    wants the standard hub cap / neighbor sampling, and the kernel
-    keeps per-node work in one bucketed co-group so such a cap is one
-    line. Counting + the edge anti-join fuse into ONE pair-hash
-    co-group (edge rows are tagged markers); the two degree attaches
-    are node-hash co-groups. Zero driver state.
-    """
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    com = _kg_comention_planted(sf_dir)
-
-    def strong(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df[df["n_docs"] >= min_docs][["ea", "eb"]]
-            .reset_index(drop=True)
-        )
-
-    edges = com.map_batches(strong, batch_format="pandas").materialize()
-
-    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": pd.concat(
-                    [df["ea"], df["eb"]], ignore_index=True
-                ).astype(object),
-                "nb": pd.concat(
-                    [df["eb"], df["ea"]], ignore_index=True
-                ).astype(object),
-            }
-        )
-
-    adj = edges.map_batches(both_dirs, batch_format="pandas")
-
-    def wedges(g: pd.DataFrame) -> pd.DataFrame:
-        nb = sorted(g["nb"])
-        lo, hi = [], []
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                lo.append(nb[i])
-                hi.append(nb[j])
-        return pd.DataFrame(
-            {
-                "lo": pd.Series(lo, dtype=object),
-                "hi": pd.Series(hi, dtype=object),
-                "kind": pd.Series(np.zeros(len(lo), dtype=np.int64)),
-            }
-        )
-
-    wed = bucketed_map_groups(adj, "key", wedges)
-
-    def tag_edge_pair(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "lo": df["ea"].to_numpy(),
-                "hi": df["eb"].to_numpy(),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
-        )
-
-    # count common neighbors + anti-join existing edges in ONE co-group
-    def count_nonedge(g: pd.DataFrame) -> pd.DataFrame:
-        if (g["kind"] == 1).any():
-            return pd.DataFrame(
-                {
-                    "lo": pd.Series([], dtype=object),
-                    "hi": pd.Series([], dtype=object),
-                    "cn": pd.Series([], dtype=np.int64),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "lo": [g["lo"].iloc[0]],
-                "hi": [g["hi"].iloc[0]],
-                "cn": pd.Series([int(len(g))], dtype=np.int64),
-            }
-        )
-
-    pairs = bucketed_map_groups(
-        wed.union(edges.map_batches(tag_edge_pair, batch_format="pandas")),
-        ["lo", "hi"],
-        count_nonedge,
-    )
-
-    # degree table (same combiner shape as the triangle count)
-    def local_deg(df: pd.DataFrame) -> pd.DataFrame:
-        names = pd.concat([df["ea"], df["eb"]], ignore_index=True)
-        g = (
-            names.to_frame("key")
-            .groupby("key", as_index=False, sort=True)
-            .size()
-        )
-        return pd.DataFrame(
-            {
-                "key": g["key"].astype(object),
-                "deg": g["size"].astype(np.int64),
-            }
-        )
-
-    def sum_deg(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": [g["key"].iloc[0]],
-                "deg": pd.Series([int(g["deg"].sum())], dtype=np.int64),
-            }
-        )
-
-    deg = bucketed_map_groups(
-        edges.map_batches(local_deg, batch_format="pandas"), "key", sum_deg
-    )
-
-    # attach deg of lo, then of hi: tagged unions on node-hash keys
-    def pair_keyed(df: pd.DataFrame, key_col: str, other_col: str):
-        return pd.DataFrame(
-            {
-                "key": df[key_col].to_numpy(),
-                "other": df[other_col].to_numpy(),
-                "cn": df["cn"].to_numpy(dtype=np.int64),
-                "deg": np.full(len(df), -1, dtype=np.int64),
-            }
-        )
-
-    def tag_deg(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["key"].to_numpy(),
-                "other": pd.Series([""] * len(df), dtype=object),
-                "cn": np.zeros(len(df), dtype=np.int64),
-                "deg": df["deg"].to_numpy(dtype=np.int64),
-            }
-        )
-
-    def attach_lo(g: pd.DataFrame) -> pd.DataFrame:
-        d = int(g.loc[g["deg"] >= 0, "deg"].iloc[0])
-        ps = g[g["deg"] < 0]
-        return pd.DataFrame(
-            {
-                "key": ps["other"].to_numpy(),  # re-key on hi
-                "other": ps["key"].to_numpy(),
-                "cn": ps["cn"].to_numpy(dtype=np.int64),
-                "deg": np.full(len(ps), -(d + 2), dtype=np.int64),  # < -1 tag
-            }
-        )
-
-    with_da = bucketed_map_groups(
-        pairs.map_batches(
-            lambda df: pair_keyed(df, "lo", "hi"), batch_format="pandas"
-        ).union(deg.map_batches(tag_deg, batch_format="pandas")),
-        "key",
-        attach_lo,
-    )
-
-    def attach_hi(g: pd.DataFrame) -> pd.DataFrame:
-        d_hi = int(g.loc[g["deg"] >= 0, "deg"].iloc[0])
-        ps = g[g["deg"] < -1]
-        cn = ps["cn"].to_numpy(dtype=np.int64)
-        d_lo = (-ps["deg"].to_numpy(dtype=np.int64)) - 2
-        return pd.DataFrame(
-            {
-                "ea": ps["other"].to_numpy(),
-                "eb": ps["key"].to_numpy(),
-                "cn": cn,
-                "jac_e6": (10**6 * cn) // (d_lo + d_hi - cn),
-            }
-        )
-
-    return bucketed_map_groups(
-        with_da.union(deg.map_batches(tag_deg, batch_format="pandas")),
-        "key",
-        attach_hi,
-    ).sort(["ea", "eb"])
-
-
-def _kg_bfs_depth_planted(
-    sf_dir: str, min_docs: int = 6, rounds: int = 7
-) -> Any:
-    """BFS shortest-path depths from the lexicographically smallest
-    node of the strong co-mention graph (edges in >= ``min_docs``
-    documents) — the DISTANCE primitive, eighth graph consumer, and a
-    third Pregel kernel family: monotone min-frontier expansion
-    (vs the sum, deletion and mode-argmax recurrences).
-
-    Exactness contract: exactly ``rounds`` frontier rounds run; the
-    DuckDB oracle re-derives depths with a depth-bounded recursive CTE
-    + min(d) — equivalent whenever rounds >= eccentricity, which holds
-    with margin (planted eccentricity 5 at min_docs=6, depths spread
-    0–5 so the propagation cascades through every round; rounds=7).
-    Unreached nodes emit depth −1 (none on the planted graph — the
-    branch exists for disconnected inputs).
-
-    Emits (subj, depth) for every strong-graph node, sorted by subj.
-
-    Scale plan: one round = one Pregel superstep as two bucketed
-    co-groups: scatter on src-hash emits depth+1 candidates along
-    out-edges AND passes the src's own depth row through (so the depth
-    table has ONE consumer per round — no per-round barrier, the whole
-    recurrence is a single linear plan, the labelprop lesson); gather
-    on dst-hash keeps min(existing, candidates). Driver state is two
-    scalars (the source name, found via Dataset.min over the
-    node-vocabulary-scale table).
-    """
-    import numpy as np
-    import pandas as pd
-    import ray
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    com = _kg_comention_planted(sf_dir)
-
-    def strong(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df[df["n_docs"] >= min_docs][["ea", "eb"]]
-            .reset_index(drop=True)
-        )
-
-    edges_ud = com.map_batches(strong, batch_format="pandas").materialize()
-
-    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": pd.concat(
-                    [df["ea"], df["eb"]], ignore_index=True
-                ).astype(object),
-                "dst": pd.concat(
-                    [df["eb"], df["ea"]], ignore_index=True
-                ).astype(object),
-                "depth": np.full(2 * len(df), -1, dtype=np.int64),
-                "kind": np.zeros(2 * len(df), dtype=np.int64),
-            }
-        )
-
-    edges = edges_ud.map_batches(
-        both_dirs, batch_format="pandas"
-    ).materialize()
-
-    # node table (for the final -1 attach) + the BFS source
-    def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        g = df[["key"]].drop_duplicates().reset_index(drop=True)
-        return g
-
-    nodes = bucketed_map_groups(
-        edges.map_batches(node_rows, batch_format="pandas"),
-        "key",
-        lambda g: g.iloc[:1],
-        n_buckets=64,
-    ).materialize()
-
-    # source = min node name: per-block min, then a blocks-scale
-    # driver reduce (never collects the node table itself)
-    def block_min(df: pd.DataFrame) -> pd.DataFrame:
-        if not len(df):
-            return pd.DataFrame({"key": pd.Series([], dtype=object)})
-        return pd.DataFrame({"key": pd.Series([df["key"].min()], dtype=object)})
-
-    source = (
-        nodes.map_batches(block_min, batch_format="pandas")
-        .to_pandas()["key"]
-        .min()
-    )
-
-    depth0 = pd.DataFrame(
-        {
-            "key": pd.Series([source], dtype=object),
-            "dst": pd.Series([""], dtype=object),
-            "depth": pd.Series([0], dtype=np.int64),
-            "kind": pd.Series([1], dtype=np.int64),
-        }
-    )
-    depth = ray.data.from_pandas(depth0)
-
-    def scatter(g: pd.DataFrame) -> pd.DataFrame:
-        found = g[g["kind"] == 1]
-        if not len(found):
-            return pd.DataFrame(
-                {
-                    "key": pd.Series([], dtype=object),
-                    "dst": pd.Series([], dtype=object),
-                    "depth": pd.Series([], dtype=np.int64),
-                    "kind": pd.Series([], dtype=np.int64),
-                }
-            )
-        d = int(found["depth"].iloc[0])
-        es = g[g["kind"] == 0]
-        out = pd.DataFrame(
-            {
-                "key": es["dst"].to_numpy(),
-                "dst": pd.Series([""] * len(es), dtype=object),
-                "depth": np.full(len(es), d + 1, dtype=np.int64),
-                "kind": np.ones(len(es), dtype=np.int64),
-            }
-        )
-        return pd.concat([found, out], ignore_index=True)
-
-    def gather(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": [g["key"].iloc[0]],
-                "dst": pd.Series([""], dtype=object),
-                "depth": pd.Series(
-                    [int(g["depth"].min())], dtype=np.int64
-                ),
-                "kind": pd.Series([1], dtype=np.int64),
-            }
-        )
-
-    for _ in range(rounds):
-        cand = bucketed_map_groups(
-            depth.union(edges), "key", scatter, n_buckets=64
-        )
-        depth = bucketed_map_groups(cand, "key", gather, n_buckets=64)
-
-    def tag_node(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["key"].to_numpy(),
-                "dst": pd.Series([""] * len(df), dtype=object),
-                "depth": np.full(len(df), -1, dtype=np.int64),
-                "kind": np.zeros(len(df), dtype=np.int64),
-            }
-        )
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        found = g[g["kind"] == 1]
-        d = int(found["depth"].iloc[0]) if len(found) else -1
-        return pd.DataFrame(
-            {
-                "subj": [g["key"].iloc[0]],
-                "depth": pd.Series([d], dtype=np.int64),
-            }
-        )
-
-    return bucketed_map_groups(
-        nodes.map_batches(tag_node, batch_format="pandas").union(depth),
-        "key",
-        finalize,
-        n_buckets=64,
-    ).sort("subj")
-
-
-def _kg_labelprop_planted(
-    sf_dir: str, min_docs: int = 6, rounds: int = 7
-) -> Any:
-    """Synchronous label-propagation communities over the strong
-    co-mention graph (edges seen in >= ``min_docs`` documents) — the
-    sixth graph consumer of the KG output, and a different kernel
-    family from the others: per-node MODE-ARGMAX over neighbor labels
-    (count per label, max count, min label as the deterministic
-    tie-break) instead of the sum (pagerank/degree) or deletion
-    (k-core) recurrences. Labels start as the node's own name.
-
-    Exactness contract: exactly ``rounds`` synchronous rounds run; the
-    DuckDB oracle unrolls the same recurrence (count → row_number over
-    (c DESC, lbl) → rn=1) as MATERIALIZED CTEs. On the planted graph
-    at min_docs=6 the propagation cascades for 5 rounds (23 singleton
-    labels → 2 communities) and rounds=7 leaves 2 rounds of fixpoint
-    margin; cascade + fixpoint are pinned in tests against an
-    independent synchronous-LPA loop.
-
-    Emits (subj, community) sorted by subj, community = the fixpoint
-    label (an entity name, min-tie-broken so it is a canonical member).
-
-    Scale plan: one round = the canonical edge-cut Pregel step as two
-    bucketed co-groups (scatter each node's label along its out-edges
-    on src-hash, gather the neighbor-label mode on dst-hash); the
-    entity-graph-scale edge table is materialized ONCE up front and
-    re-referenced per round (no per-round barrier needed — the label
-    chain is linear, one consumer per round, so lineage grows linearly
-    and executes as a single 2R-sort plan). Driver state is zero.
-    """
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    com = _kg_comention_planted(sf_dir)
-
-    def both_dirs(df: pd.DataFrame) -> pd.DataFrame:
-        s = df[df["n_docs"] >= min_docs]
-        return pd.DataFrame(
-            {
-                "key": pd.concat(
-                    [s["ea"], s["eb"]], ignore_index=True
-                ).astype(object),
-                "dst": pd.concat(
-                    [s["eb"], s["ea"]], ignore_index=True
-                ).astype(object),
-            }
-        )
-
-    edges = (
-        com.map_batches(both_dirs, batch_format="pandas")
-        .repartition(4)
-        .materialize()
-    )
-
-    def seed_labels(df: pd.DataFrame) -> pd.DataFrame:
-        # reset_index: a filtered index would misalign against the
-        # fresh RangeIndex of the placeholder series below
-        g = df[["key"]].drop_duplicates().reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "key": g["key"].astype(object),
-                "dst": pd.Series([""] * len(g), dtype=object),
-                "lbl": g["key"].astype(object),
-                "kind": np.ones(len(g), dtype=np.int64),
-            }
-        )
-
-    # per-block distinct -> one co-group dedup gives the node table
-    def first_row(g: pd.DataFrame) -> pd.DataFrame:
-        return g.iloc[:1]
-
-    labels = bucketed_map_groups(
-        edges.map_batches(seed_labels, batch_format="pandas"),
-        "key",
-        first_row,
-        n_buckets=64,
-    ).materialize()  # consumed once per round + once at the end
-
-    def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["key"].astype(object),
-                "dst": df["dst"].astype(object),
-                "lbl": pd.Series([""] * len(df), dtype=object),
-                "kind": np.zeros(len(df), dtype=np.int64),
-            }
-        )
-
-    tagged_edges = edges.map_batches(
-        tag_edge, batch_format="pandas"
-    ).materialize()
-
-    def scatter(g: pd.DataFrame) -> pd.DataFrame:
-        lbl = g.loc[g["kind"] == 1, "lbl"].iloc[0]
-        es = g[g["kind"] == 0]
-        return pd.DataFrame(
-            {
-                "key": es["dst"].to_numpy(),
-                "lbl": pd.Series([lbl] * len(es), dtype=object),
-            }
-        )
-
-    def gather(g: pd.DataFrame) -> pd.DataFrame:
-        cnt = g.groupby("lbl", sort=True).size()
-        new = cnt[cnt == cnt.max()].index.min()
-        return pd.DataFrame(
-            {
-                "key": [g["key"].iloc[0]],
-                "dst": pd.Series([""], dtype=object),
-                "lbl": pd.Series([new], dtype=object),
-                "kind": pd.Series([1], dtype=np.int64),
-            }
-        )
-
-    for _ in range(rounds):
-        contribs = bucketed_map_groups(
-            labels.union(tagged_edges), "key", scatter, n_buckets=64
-        )
-        labels = bucketed_map_groups(contribs, "key", gather, n_buckets=64)
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "subj": df["key"].astype(object),
-                "community": df["lbl"].astype(object),
-            }
-        )
-
-    return labels.map_batches(finalize, batch_format="pandas").sort("subj")
-
-
-def _kg_modularity_planted(sf_dir: str, min_docs: int = 6) -> Any:
-    """Newman modularity decomposition of the label-propagation
-    communities over the strong co-mention graph — the clustering
-    QUALITY metric (how much denser inside communities than a random
-    graph with the same degrees), the standard acceptance gate on any
-    community detection before it ships. Composes two shipped ops: the
-    ``_kg_labelprop_planted`` partition and the min_docs=6 edge table.
-
-    Exactness contract (integer, e9): per community c,
-    q_e9 = (10⁹·e_c) // m − (10⁹·d_c²) // (4·m²) with e_c = intra-
-    community edge count, d_c = degree sum, m = total undirected edges
-    — two separate floors, computed with arbitrary-precision Python
-    ints on the Ray side and HUGEINT products in the DuckDB oracle
-    (10⁹·d_c² overflows int64 once m exceeds ~1500; the strong entity
-    graph is vocabulary-scale so HUGEINT covers any real corpus). The
-    oracle re-runs the full 7-round labelprop unroll, so the composed
-    pipeline (communities → per-community edge/degree rollups → Q) is
-    value-hash-checked end to end.
-
-    Emits (community, n_nodes, intra_edges, deg_sum, q_e9) sorted by
-    community; Σ q_e9 is the graph's modularity on the e9 grid.
-
-    Scale plan: two node-hash co-groups attach each endpoint's label
-    to the edge table, then community-hash rollups; m is one driver
-    scalar. Everything shuffled is edge- or community-scale.
-    """
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    labels = _kg_labelprop_planted(sf_dir, min_docs=min_docs).materialize()
-    com = _kg_comention_planted(sf_dir)
-
-    def strong(df: pd.DataFrame) -> pd.DataFrame:
-        s = df[df["n_docs"] >= min_docs]
-        return pd.DataFrame(
-            {
-                "ea": s["ea"].astype(object),
-                "eb": s["eb"].astype(object),
-            }
-        )
-
-    e0 = com.map_batches(strong, batch_format="pandas").materialize()
-    m_edges = e0.count()  # entity-graph-scale driver scalar
-
-    def tag_label(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["subj"].astype(object),
-                "other": pd.Series([""] * len(df), dtype=object),
-                "lbl": df["community"].astype(object),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
-        )
-
-    def tag_edge_by(df: pd.DataFrame, key: str, other: str) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": pd.Series(df[key].to_numpy(), dtype=object),
-                "other": pd.Series(df[other].to_numpy(), dtype=object),
-                "lbl": pd.Series([""] * len(df), dtype=object),
-                "kind": np.zeros(len(df), dtype=np.int64),
-            }
-        )
-
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        lbl = g.loc[g["kind"] == 1, "lbl"].iloc[0]
-        es = g[g["kind"] == 0]
-        # pass the edge through keyed by the OTHER endpoint, carrying
-        # this endpoint's community in ``lbl`` (degree rides as row
-        # multiplicity: one row per incident edge)
-        return pd.DataFrame(
-            {
-                "key": es["other"].to_numpy(),
-                "other": pd.Series([""] * len(es), dtype=object),
-                "la": pd.Series([lbl] * len(es), dtype=object),
-                "kind": np.zeros(len(es), dtype=np.int64),
-            }
-        )
-
-    # first attach: community of ea onto edges keyed by ea → re-key eb
-    half = bucketed_map_groups(
-        labels.map_batches(tag_label, batch_format="pandas").union(
-            e0.map_batches(
-                lambda df: tag_edge_by(df, "ea", "eb"),
-                batch_format="pandas",
-            )
-        ),
-        "key",
-        attach,
-    )
-
-    # second attach: group by eb with its label row → (la, lb) pairs,
-    # plus this node's (community, deg) from the group itself
-    def pairs_and_deg(g: pd.DataFrame) -> pd.DataFrame:
-        lbl = g.loc[g["kind"] == 1, "la"].iloc[0]
-        es = g[g["kind"] == 0]
-        out = pd.DataFrame(
-            {
-                "community": es["la"].to_numpy(),
-                "n_nodes": np.zeros(len(es), dtype=np.int64),
-                "intra": (es["la"].to_numpy() == lbl).astype(np.int64),
-                "deg_sum": np.zeros(len(es), dtype=np.int64),
-            }
-        )
-        return out
-
-    def tag_label2(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["subj"].astype(object),
-                "other": pd.Series([""] * len(df), dtype=object),
-                "la": df["community"].astype(object),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
-        )
-
-    pair_rows = bucketed_map_groups(
-        labels.map_batches(tag_label2, batch_format="pandas").union(half),
-        "key",
-        pairs_and_deg,
-    )
-
-    # per-node (community, deg) from both endpoints: one co-group over
-    # the doubled edge list + label rows
-    def tag_label3(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["subj"].astype(object),
-                "lbl": df["community"].astype(object),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
-        )
-
-    def both_ends(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": pd.concat(
-                    [df["ea"], df["eb"]], ignore_index=True
-                ).astype(object),
-                "lbl": pd.Series([""] * (2 * len(df)), dtype=object),
-                "kind": np.zeros(2 * len(df), dtype=np.int64),
-            }
-        )
-
-    def node_deg(g: pd.DataFrame) -> pd.DataFrame:
-        lbl = g.loc[g["kind"] == 1, "lbl"].iloc[0]
-        deg = int((g["kind"] == 0).sum())
-        return pd.DataFrame(
-            {
-                "community": pd.Series([lbl], dtype=object),
-                "n_nodes": pd.Series([1], dtype=np.int64),
-                "intra": pd.Series([0], dtype=np.int64),
-                "deg_sum": pd.Series([deg], dtype=np.int64),
-            }
-        )
-
-    deg_rows = bucketed_map_groups(
-        labels.map_batches(tag_label3, batch_format="pandas").union(
-            e0.map_batches(both_ends, batch_format="pandas")
-        ),
-        "key",
-        node_deg,
-    )
-
-    def rollup(g: pd.DataFrame) -> pd.DataFrame:
-        e_c = int(g["intra"].sum())
-        d_c = int(g["deg_sum"].sum())
-        n_c = int(g["n_nodes"].sum())
-        q = (10**9 * e_c) // m_edges - (10**9 * d_c * d_c) // (
-            4 * m_edges * m_edges
-        )
-        return pd.DataFrame(
-            {
-                "community": [g["community"].iloc[0]],
-                "n_nodes": pd.Series([n_c], dtype=np.int64),
-                "intra_edges": pd.Series([e_c], dtype=np.int64),
-                "deg_sum": pd.Series([d_c], dtype=np.int64),
-                "q_e9": pd.Series([q], dtype=np.int64),
-            }
-        )
-
-    return bucketed_map_groups(
-        pair_rows.union(deg_rows), "community", rollup
-    ).sort("community")
-
-
-def _kg_hostgraph_planted(sf_dir: str) -> Any:
-    """Host-level hyperlink graph over the md5-planted linked corpus —
-    the Common-Crawl web-graph primitive (host-to-host edge weights
-    drive crawl-frontier ranking, host-authority features and
-    entity-page discovery). The Ray side does the REAL work: tokenize
-    every page's anchor bytes with the stdlib HTML tokenizer
-    (``functions/links.py`` — attribute quoting and ``&amp;`` entity
-    decoding are exercised on every href), normalize each target to its
-    host, and aggregate (src_host, dst_host) edge weights. The DuckDB
-    oracle never parses HTML: it re-derives each page's outlink targets
-    from the md5 plant plan (``sources/planted.py:hostgraph_oracle_sql``),
-    so a missed anchor, a broken entity decode or a bad host parse
-    changes the value hash.
-
-    Scale plan: anchors per page are bounded (≤3 here; a real crawl
-    caps outlinks per page), the per-block Counter thins the edge
-    stream to the block's distinct host pairs before the shuffle, and
-    the exchange carries (host, host, int64) rows on a pair-hash bucket
-    key — host-vocabulary scale, not corpus scale. No driver state.
-    """
-    import collections
-
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.functions.links import extract_hrefs, url_host
-    from hinbox_ray.sources.planted import linked_pages_dataset
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    def edges_local(df: pd.DataFrame) -> pd.DataFrame:
-        cnt: collections.Counter = collections.Counter()
-        for src_url, html in zip(df["url"], df["html"]):
-            src = url_host(src_url)
-            if src is None:
-                continue
-            for href in extract_hrefs(html):
-                dst = url_host(href)
-                if dst is not None:
-                    cnt[(src, dst)] += 1
-        items = sorted(cnt.items())
-        return pd.DataFrame(
-            {
-                "src_host": pd.Series([k[0] for k, _ in items], dtype=object),
-                "dst_host": pd.Series([k[1] for k, _ in items], dtype=object),
-                "n_links": pd.Series([v for _, v in items], dtype=np.int64),
-            }
-        )
-
-    def sum_pair(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "src_host": [g["src_host"].iloc[0]],
-                "dst_host": [g["dst_host"].iloc[0]],
-                "n_links": pd.Series([int(g["n_links"].sum())], dtype=np.int64),
-            }
-        )
-
-    local = linked_pages_dataset(sf_dir).map_batches(
-        edges_local, batch_format="pandas"
-    )
-    return bucketed_map_groups(local, ["src_host", "dst_host"], sum_pair).sort(
-        ["src_host", "dst_host"]
-    )
-
-
 def _kg_anchor_alias_planted(sf_dir: str) -> Any:
     """Anchor-text alias dictionary over the md5-planted linked corpus —
     the web-KG alias-mining primitive (the anchor texts pointing at a
@@ -1804,7 +103,7 @@ def _kg_anchor_alias_planted(sf_dir: str) -> Any:
     on the SQL side, so a dropped anchor, mis-scoped text collection or
     broken entity decode flips the value hash.
 
-    Scale plan: identical exchange shape to ``_kg_hostgraph_planted`` —
+    Scale plan: identical exchange shape to ``graph.hostgraph`` —
     the combiner thins to the block's distinct (alias, host) pairs, the
     shuffle carries alias-vocabulary-scale rows on a pair-hash bucket
     key, driver state is zero.
@@ -1940,375 +239,6 @@ def _kg_increment_planted(sf_dir: str) -> Any:
     ).sort(["subj", "pred", "obj", "delta"])
 
 
-def _kg_hostrank_planted(sf_dir: str, iters: int = 3) -> Any:
-    """Weighted directed PageRank over the REAL extracted host graph —
-    the rank consumer that completes the web-graph story (extract
-    anchors → host graph → host authority; crawl-frontier ordering is
-    exactly this). Unlike ``_kg_pagerank_planted`` (undirected,
-    unweighted co-mention), edges here are directed with anchor-count
-    weights, straight from ``_kg_hostgraph_planted``'s HTML parsing.
-
-    Exactness contract (integer, e12): r0 = S // N over ALL hosts;
-    per-unit share = r_t(u) // W_u (W_u = Σ out-weights), scatter w_e ×
-    share along each edge, r_{t+1}(v) = tele + (850·Σ)//1000 with tele
-    = (150·(S//N))//1000. Hosts with no out-links keep their mass out
-    of circulation (standard dangling-mass drop; the oracle does the
-    same); hosts with no in-links gather 0 (LEFT-JOIN semantics — the
-    gather co-group sees their rank row only). The DuckDB oracle
-    re-derives the host edges from the md5 plant plan and unrolls the
-    same ``iters`` rounds with ``//``.
-
-    Scale plan: the host graph is vocabulary-scale (hosts ≪ pages —
-    ~10^8 hosts for 10^12 pages), so materializing the edge table once
-    before the rounds is object-store-cheap and keeps each iteration
-    to two bucketed co-groups (scatter on src-hash, gather on
-    dst-hash); driver state is two scalars (N, tele).
-    """
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    SCALE = 10**12
-    hg = _kg_hostgraph_planted(sf_dir).materialize()
-
-    # node vocabulary + out-weight (0 for sink hosts): tagged union
-    def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node": pd.concat(
-                    [df["src_host"], df["dst_host"]], ignore_index=True
-                ).astype(object),
-                "w": pd.concat(
-                    [
-                        df["n_links"].astype(np.int64),
-                        pd.Series(np.zeros(len(df), dtype=np.int64)),
-                    ],
-                    ignore_index=True,
-                ),
-            }
-        )
-
-    def sum_w(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node": [g["node"].iloc[0]],
-                "outw": pd.Series([int(g["w"].sum())], dtype=np.int64),
-            }
-        )
-
-    outw = bucketed_map_groups(
-        hg.map_batches(node_rows, batch_format="pandas"), "node", sum_w
-    )
-    n_nodes = outw.count()  # host-vocabulary-scale driver scalar
-    r0 = SCALE // n_nodes
-    tele = (150 * r0) // 1000
-
-    def seed(df: pd.DataFrame) -> pd.DataFrame:
-        out = df.copy()
-        out["rank"] = np.full(len(df), r0, dtype=np.int64)
-        return out
-
-    ranks = outw.map_batches(seed, batch_format="pandas")
-
-    def tag_rank_src(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["node"].astype(object),
-                "dst": pd.Series([""] * len(df), dtype=object),
-                "w": pd.Series(np.zeros(len(df), dtype=np.int64)),
-                "outw": df["outw"].astype(np.int64),
-                "rank": df["rank"].astype(np.int64),
-                "kind": pd.Series(np.ones(len(df), dtype=np.int64)),
-            }
-        )
-
-    def tag_edge(df: pd.DataFrame) -> pd.DataFrame:
-        z = np.zeros(len(df), dtype=np.int64)
-        return pd.DataFrame(
-            {
-                "key": df["src_host"].astype(object),
-                "dst": df["dst_host"].astype(object),
-                "w": df["n_links"].astype(np.int64),
-                "outw": pd.Series(z),
-                "rank": pd.Series(z),
-                "kind": pd.Series(z),
-            }
-        )
-
-    def scatter(g: pd.DataFrame) -> pd.DataFrame:
-        src_row = g[g["kind"] == 1]
-        es = g[g["kind"] == 0]
-        ow = int(src_row["outw"].iloc[0])
-        if ow == 0 or not len(es):  # dangling host: mass drops
-            return pd.DataFrame(
-                {
-                    "key": pd.Series([], dtype=object),
-                    "contrib": pd.Series([], dtype=np.int64),
-                    "kind": pd.Series([], dtype=np.int64),
-                }
-            )
-        share = int(src_row["rank"].iloc[0]) // ow
-        return pd.DataFrame(
-            {
-                "key": es["dst"].to_numpy(),
-                "contrib": (es["w"].to_numpy(dtype=np.int64) * share),
-                "kind": pd.Series(np.zeros(len(es), dtype=np.int64)),
-            }
-        )
-
-    def tag_outw(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["node"].astype(object),
-                "contrib": df["outw"].astype(np.int64),
-                "kind": pd.Series(np.ones(len(df), dtype=np.int64)),
-            }
-        )
-
-    def gather(g: pd.DataFrame) -> pd.DataFrame:
-        s = int(g.loc[g["kind"] == 0, "contrib"].sum())
-        ow = int(g.loc[g["kind"] == 1, "contrib"].iloc[0])
-        return pd.DataFrame(
-            {
-                "node": [g["key"].iloc[0]],
-                "outw": pd.Series([ow], dtype=np.int64),
-                "rank": pd.Series([tele + (850 * s) // 1000], dtype=np.int64),
-            }
-        )
-
-    edges_tagged = hg.map_batches(tag_edge, batch_format="pandas")
-    for _ in range(iters):
-        contribs = bucketed_map_groups(
-            edges_tagged.union(
-                ranks.map_batches(tag_rank_src, batch_format="pandas")
-            ),
-            "key",
-            scatter,
-        )
-        ranks = bucketed_map_groups(
-            contribs.union(
-                ranks.map_batches(tag_outw, batch_format="pandas")
-            ),
-            "key",
-            gather,
-        )
-
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "host": df["node"].astype(object),
-                "hostrank_e12": df["rank"].astype(np.int64),
-            }
-        )
-
-    return ranks.map_batches(finalize, batch_format="pandas").sort("host")
-
-
-def _kg_hits_planted(sf_dir: str, rounds: int = 2) -> Any:
-    """HITS hubs & authorities (Kleinberg 1999) over the REAL extracted
-    host graph — the MUTUAL-recursion kernel family (two coupled score
-    vectors alternating a→h→a), distinct from the single-vector
-    recurrences (pagerank/hostrank sums, k-core deletion, labelprop
-    mode, BFS min, neighbor-agg mean): auth(v) = Σ_{u→v} w·hub(u),
-    hub(u) = Σ_{u→v} w·auth(v), each L1-normalized to the e6 grid
-    after every half-step.
-
-    Exactness contract (integer, e6): hub₀ = 10⁶ // N over all hosts;
-    raw scores are exact int64 sums; normalization is
-    x' = (10⁶ · x_raw) // Σ x_raw computed in arbitrary-precision
-    Python ints (the oracle uses HUGEINT for the same product — int64
-    would overflow the 10⁶·raw product beyond ~10⁶-page corpora).
-    Hosts with no in-links get auth 0, no out-links get hub 0 (total
-    LEFT-join semantics both sides). The DuckDB oracle re-derives the
-    host edges from the md5 plant plan and unrolls the same ``rounds``
-    rounds, so the driver value-hashes both final vectors.
-
-    Scale plan: the host graph is vocabulary-scale (hosts ≪ pages), so
-    the edge table materializes once; each half-step is two bucketed
-    co-groups (scatter w·score along the edge on one endpoint's hash,
-    gather sums on the other's) and the normalizer is ONE driver
-    scalar per half-step (Σ over the host-vocabulary score table —
-    never corpus-scale). 2 rounds = 8 co-group shuffles + 4 scalar
-    reduces.
-    """
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    SCALE = 10**6
-    hg = _kg_hostgraph_planted(sf_dir).materialize()
-
-    def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node": pd.concat(
-                    [df["src_host"], df["dst_host"]], ignore_index=True
-                ).astype(object)
-            }
-        )
-
-    def first_row(g: pd.DataFrame) -> pd.DataFrame:
-        return g.iloc[:1]
-
-    nodes = bucketed_map_groups(
-        hg.map_batches(node_rows, batch_format="pandas"), "node", first_row
-    ).materialize()
-    n_nodes = nodes.count()
-    s0 = SCALE // n_nodes
-
-    def tag_edges(key_col: str, other_col: str):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "key": df[key_col].astype(object),
-                    "other": df[other_col].astype(object),
-                    "w": df["n_links"].astype(np.int64),
-                    "val": np.zeros(len(df), dtype=np.int64),
-                    "kind": np.zeros(len(df), dtype=np.int64),
-                }
-            )
-
-        return fn
-
-    e_by_src = hg.map_batches(
-        tag_edges("src_host", "dst_host"), batch_format="pandas"
-    ).materialize()
-    e_by_dst = hg.map_batches(
-        tag_edges("dst_host", "src_host"), batch_format="pandas"
-    ).materialize()
-
-    def tag_score(df: pd.DataFrame, col: str) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["node"].astype(object),
-                "other": pd.Series([""] * len(df), dtype=object),
-                "w": np.zeros(len(df), dtype=np.int64),
-                "val": df[col].astype(np.int64),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
-        )
-
-    def scatter(g: pd.DataFrame) -> pd.DataFrame:
-        score = int(g.loc[g["kind"] == 1, "val"].iloc[0])
-        es = g[g["kind"] == 0]
-        return pd.DataFrame(
-            {
-                "key": es["other"].to_numpy(),
-                "val": es["w"].to_numpy(dtype=np.int64) * score,
-                "kind": np.zeros(len(es), dtype=np.int64),
-            }
-        )
-
-    def tag_node_sink(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["node"].astype(object),
-                "val": np.zeros(len(df), dtype=np.int64),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
-        )
-
-    def gather(g: pd.DataFrame) -> pd.DataFrame:
-        raw = int(g.loc[g["kind"] == 0, "val"].sum())
-        return pd.DataFrame(
-            {
-                "node": [g["key"].iloc[0]],
-                "raw": pd.Series([raw], dtype=np.int64),
-            }
-        )
-
-    node_sink = nodes.map_batches(
-        tag_node_sink, batch_format="pandas"
-    ).materialize()
-
-    def half_step(scores, in_col: str, out_col: str, edges) -> Any:
-        """scores(node, in_col) × edges(key→other) → normalized
-        (node, out_col) on the OTHER endpoint."""
-        contribs = bucketed_map_groups(
-            scores.map_batches(
-                lambda df: tag_score(df, in_col), batch_format="pandas"
-            ).union(edges),
-            "key",
-            scatter,
-        )
-        raw = bucketed_map_groups(
-            contribs.union(node_sink), "key", gather
-        ).materialize()
-        total = int(
-            raw.map_batches(
-                lambda df: pd.DataFrame(
-                    {"s": pd.Series([int(df["raw"].sum())], dtype=np.int64)}
-                ),
-                batch_format="pandas",
-            ).sum("s")
-        )
-
-        def normalize(df: pd.DataFrame) -> pd.DataFrame:
-            vals = [
-                (SCALE * int(r)) // total if total else 0
-                for r in df["raw"]
-            ]
-            return pd.DataFrame(
-                {
-                    "node": df["node"].astype(object),
-                    out_col: pd.Series(vals, dtype=np.int64),
-                }
-            )
-
-        return raw.map_batches(normalize, batch_format="pandas")
-
-    def seed(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "node": df["node"].astype(object),
-                "hub": np.full(len(df), s0, dtype=np.int64),
-            }
-        )
-
-    hubs = nodes.map_batches(seed, batch_format="pandas")
-    auths = None
-    for _ in range(rounds):
-        # auth gathers on dst (scatter hubs along src-keyed edges)
-        auths = half_step(hubs, "hub", "auth", e_by_src)
-        # hub gathers on src (scatter auths along dst-keyed edges)
-        hubs = half_step(auths, "auth", "hub", e_by_dst)
-
-    def tag_final(col: str):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    "node": df["node"].astype(object),
-                    "auth": df[col].astype(np.int64)
-                    if col == "auth"
-                    else np.zeros(len(df), dtype=np.int64),
-                    "hub": df[col].astype(np.int64)
-                    if col == "hub"
-                    else np.zeros(len(df), dtype=np.int64),
-                }
-            )
-
-        return fn
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "host": [g["node"].iloc[0]],
-                "auth_e6": pd.Series([int(g["auth"].sum())], dtype=np.int64),
-                "hub_e6": pd.Series([int(g["hub"].sum())], dtype=np.int64),
-            }
-        )
-
-    return bucketed_map_groups(
-        auths.map_batches(tag_final("auth"), batch_format="pandas").union(
-            hubs.map_batches(tag_final("hub"), batch_format="pandas")
-        ),
-        "node",
-        merge,
-    ).sort("host")
-
-
 def _pages_url_canonicalize(sf_dir: str) -> Any:
     """Crawl URL canonicalization + canonical-URL dedup over the
     md5-planted messy-URL corpus — the FIRST pass of every web crawl
@@ -2363,85 +293,6 @@ def _pages_url_canonicalize(sf_dir: str) -> Any:
     return bucketed_map_groups(local, "canon_url", merge).sort("canon_url")
 
 
-def _kg_clustcoef_planted(sf_dir: str, min_docs: int = 4) -> Any:
-    """Local clustering coefficient of every strong co-mention node —
-    the per-node cohesion feature (how close a node's neighborhood is
-    to a clique), integer-e6: ``cc_e6 = (2e6 * n_triangles) //
-    (deg * (deg - 1))``, 0 when deg < 2. Composes the degree-oriented
-    triangle counts (``_kg_triangles_planted``) with a fresh
-    strong-graph degree pass via one node-hash co-group (deg rows carry
-    kind=0, triangle rows kind=1; every strong node has exactly one of
-    each, since the triangle op emits zeros for triangle-free nodes).
-    The DuckDB oracle recomputes triangles via an independent three-way
-    self-join and the coefficient with the same floor arithmetic.
-
-    Scale plan: inherits the O(m^1.5) wedge bound of the triangle
-    kernel; the degree pass and the final attach are node-hash bucketed
-    co-groups; driver state is zero.
-    """
-    import numpy as np
-    import pandas as pd
-
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
-
-    com = _kg_comention_planted(sf_dir)
-
-    def strong(df: pd.DataFrame) -> pd.DataFrame:
-        return (
-            df[df["n_docs"] >= min_docs][["ea", "eb"]]
-            .reset_index(drop=True)
-        )
-
-    edges = com.map_batches(strong, batch_format="pandas")
-
-    def local_deg(df: pd.DataFrame) -> pd.DataFrame:
-        names = pd.concat([df["ea"], df["eb"]], ignore_index=True)
-        g = (
-            names.to_frame("subj")
-            .groupby("subj", as_index=False, sort=True)
-            .size()
-        )
-        return pd.DataFrame(
-            {
-                "subj": g["subj"].astype(object),
-                "val": g["size"].astype(np.int64),
-                "kind": np.zeros(len(g), dtype=np.int64),
-            }
-        )
-
-    def tri_tagged(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "subj": df["subj"].to_numpy(),
-                "val": df["n_triangles"].to_numpy(dtype=np.int64),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
-        )
-
-    tri = _kg_triangles_planted(sf_dir, min_docs)
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        deg = int(g.loc[g["kind"] == 0, "val"].sum())
-        ntri = int(g.loc[g["kind"] == 1, "val"].sum())
-        cc = (2_000_000 * ntri) // (deg * (deg - 1)) if deg >= 2 else 0
-        return pd.DataFrame(
-            {
-                "subj": [g["subj"].iloc[0]],
-                "deg": pd.Series([deg], dtype=np.int64),
-                "n_triangles": pd.Series([ntri], dtype=np.int64),
-                "clustcoef_e6": pd.Series([cc], dtype=np.int64),
-            }
-        )
-
-    return bucketed_map_groups(
-        edges.map_batches(local_deg, batch_format="pandas").union(
-            tri.map_batches(tri_tagged, batch_format="pandas")
-        ),
-        "subj",
-        combine,
-    ).sort("subj")
-
-
 def _pages_extract_text(sf_dir: str) -> Any:
     """html→text over the synthetic pages corpus; returns (url, sha256 of
     extracted text). Byte-identity vs the reference bs4 semantics is
@@ -2491,6 +342,7 @@ def _kg_pair_verdicts(sf_dir: str) -> Any:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from hinbox_ray.pipelines import analytics as A
+    from hinbox_ray.pipelines import graph as G
     from hinbox_ray.pipelines import textops as T
 
     # WINDOW NOTE (round-4 VERDICT Missing #1): the driver's oracle
@@ -2505,8 +357,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # md5-planted flagship: full KG machinery, value-hash-checked
         "kg_triples_planted": _kg_triples_planted,
         "kg_entities_planted": _kg_entities_planted,
-        "kg_degree_planted": _kg_degree_planted,
-        "kg_comention_planted": _kg_comention_planted,
+        "kg_degree_planted": G.kg_degree_planted,
+        "kg_comention_planted": G.kg_comention_planted,
         # round 5: A4–A7 planted oracles (profiles / grounding / verdicts)
         "kg_profiles_planted": _kg_profiles_planted,
         "kg_grounding_planted": _kg_grounding_planted,
@@ -2540,37 +392,37 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_term_cms": T.doc_term_cms,
         # integer PageRank over the planted co-mention graph (oracle
         # unrolls the same floor-arithmetic rounds, k-means style)
-        "kg_pagerank_planted": _kg_pagerank_planted,
+        "kg_pagerank_planted": G.kg_pagerank_planted,
         # deterministic uniform / per-source stratified samples
         "doc_reservoir_sample": T.doc_reservoir_sample,
         "doc_stratified_sample": T.doc_stratified_sample,
         # CC over the strong co-mention graph (recursive-CTE oracle)
-        "kg_components_planted": _kg_components_planted,
+        "kg_components_planted": G.kg_components_planted,
         # degree-ordered wedge-check triangle counting (3-way-join oracle)
-        "kg_triangles_planted": _kg_triangles_planted,
+        "kg_triangles_planted": G.kg_triangles_planted,
         # k-core via fixed-round peeling (oracle unrolls the rounds)
-        "kg_kcore_planted": _kg_kcore_planted,
+        "kg_kcore_planted": G.kg_kcore_planted,
         # label-propagation communities (mode-argmax Pregel rounds)
-        "kg_labelprop_planted": _kg_labelprop_planted,
+        "kg_labelprop_planted": G.kg_labelprop_planted,
         # common-neighbor link prediction (wedges + edge anti-join)
-        "kg_linkpred_planted": _kg_linkpred_planted,
+        "kg_linkpred_planted": G.kg_linkpred_planted,
         # BFS depths from the min node (min-frontier Pregel rounds)
-        "kg_bfs_depth_planted": _kg_bfs_depth_planted,
+        "kg_bfs_depth_planted": G.kg_bfs_depth_planted,
         # host-level hyperlink graph: REAL anchor tokenization on the
         # Ray side, md5 plant plan re-derived by the oracle
-        "kg_hostgraph_planted": _kg_hostgraph_planted,
+        "kg_hostgraph_planted": G.kg_hostgraph_planted,
         # anchor-text alias dictionary (web-KG alias mining)
         "kg_anchor_alias_planted": _kg_anchor_alias_planted,
         # crawl URL canonicalization + canonical-URL dedup (S13 family)
         "pages_url_canonicalize": _pages_url_canonicalize,
         # weighted directed PageRank over the real extracted host graph
-        "kg_hostrank_planted": _kg_hostrank_planted,
+        "kg_hostrank_planted": G.kg_hostrank_planted,
         # continuous-crawl KG maintenance: signed triple diff of an
         # archive backfill (full pipeline twice + triple-hash anti-join;
         # re-election makes the '-' branch non-vacuous)
         "kg_increment_planted": _kg_increment_planted,
         # per-node local clustering coefficient (integer e6)
-        "kg_clustcoef_planted": _kg_clustcoef_planted,
+        "kg_clustcoef_planted": G.kg_clustcoef_planted,
         # dense hourly resample with zero-fill (row densification)
         "events_hourly_gapfill": A.events_hourly_gapfill,
         # long→wide pivot via conditional aggregation
@@ -2588,14 +440,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # weighted (length-proportional) priority sampling, DLT 2007
         "doc_priority_sample": T.doc_priority_sample,
         # GNN message-passing primitive: mean neighbor-feature smoothing
-        "kg_neighbor_agg_planted": _kg_neighbor_agg_planted,
+        "kg_neighbor_agg_planted": G.kg_neighbor_agg_planted,
         # hopping windows (width 6h, step 2h): overlapping-window counts
         "events_sliding_window": A.events_sliding_window,
         # HITS hubs/authorities over the extracted host graph (mutual
         # recursion, L1-normalized to the e6 grid each half-step)
-        "kg_hits_planted": _kg_hits_planted,
+        "kg_hits_planted": G.kg_hits_planted,
         # Newman modularity of the labelprop communities (quality gate)
-        "kg_modularity_planted": _kg_modularity_planted,
+        "kg_modularity_planted": G.kg_modularity_planted,
         # per-source robust (median/MAD) length-outlier flags
         "doc_length_outliers": T.doc_length_outliers,
         # cumulative window: per-user running spend + ordinal
@@ -3032,7 +884,7 @@ def oracle_sql() -> dict[str, str]:
 
     # Integer PageRank unrolled round by round — the k-means-oracle
     # trick applied to a graph recurrence; same floor arithmetic as
-    # _kg_pagerank_planted (scale 10^12, damping 850/1000).
+    # graph.pagerank (scale 10^12, damping 850/1000).
     _pr_prev = "r0"
     _pr_rounds = []
     for _t in range(1, 4):
@@ -3077,7 +929,7 @@ def oracle_sql() -> dict[str, str]:
     """
 
     # k-core peeling unrolled round by round (min_docs=6, k=4,
-    # rounds=5) — same deletion recurrence as _kg_kcore_planted: round
+    # rounds=5) — same deletion recurrence as graph.kcore: round
     # t keeps edges whose BOTH endpoints had degree >= k in d{t-1}
     _kc_rounds = []
     for _t in range(1, 6):
@@ -3122,7 +974,7 @@ def oracle_sql() -> dict[str, str]:
 
     # synchronous label propagation unrolled round by round
     # (min_docs=6, rounds=7) — same mode-argmax recurrence as
-    # _kg_labelprop_planted: count neighbor labels, keep the
+    # graph.labelprop: count neighbor labels, keep the
     # (count DESC, lbl ASC) winner; MATERIALIZED for the same
     # inlining-blowup reason as the k-core oracle
     _lp_rounds = []
@@ -3163,7 +1015,7 @@ def oracle_sql() -> dict[str, str]:
 
     # Newman modularity of the labelprop communities: re-runs the same
     # 7-round unroll, then per-community intra-edge / degree rollups;
-    # HUGEINT products mirror _kg_modularity_planted's Python-int floors
+    # HUGEINT products mirror graph.modularity's Python-int floors
     _MODULARITY_SQL = f"""
         WITH m AS (
             SELECT subj, obj AS url FROM ({{triples}})
@@ -3246,7 +1098,7 @@ def oracle_sql() -> dict[str, str]:
     """.replace("{triples}", triples_oracle_sql())
 
     # GraphSAGE-mean neighbor aggregation unrolled round by round —
-    # same floor recurrence as _kg_neighbor_agg_planted:
+    # same floor recurrence as graph.neighbor_agg:
     # f_{t+1}(v) = (f_t(v) + (Σ_{u~v} f_t(u)) // deg(v)) // 2
     _na_rounds = []
     for _t in range(1, 3):
@@ -3307,7 +1159,7 @@ def oracle_sql() -> dict[str, str]:
 
 
     # weighted directed PageRank rounds over the plant-plan host graph,
-    # unrolled with the same floor arithmetic as _kg_hostrank_planted
+    # unrolled with the same floor arithmetic as graph.hostrank
     _hr_prev = "hr0"
     _hr_rounds = []
     for _t in range(1, 4):
@@ -3366,7 +1218,7 @@ def oracle_sql() -> dict[str, str]:
     """
 
     # HITS rounds over the same plant-plan host graph, unrolled with
-    # _kg_hits_planted's floor arithmetic: raw = Σ w·score gathered on
+    # graph.hits's floor arithmetic: raw = Σ w·score gathered on
     # the other endpoint, then L1-normalize to the e6 grid (HUGEINT for
     # the 10⁶·raw product — see the op docstring's int64 bound)
     _hits_rounds = []

@@ -361,10 +361,9 @@ def customer_revenue_by_nation(sf_dir: str) -> ray.data.Dataset:
     per batch with ``np.searchsorted`` — no shuffle touches the orders
     stream. At a scale where customer itself stops fitting (≳10⁹
     customers) the plan flips to a hash-partition co-group on custkey
-    (stages/cogroup.py); Dataset.join is deliberately avoided here — it
-    silently misroutes rows when a block's key dtype drifts (see
-    cogroup.py). Revenue rounds to whole dollars (summation-order error
-    ≪ 0.5).
+    (stages/cogroup.py); Dataset.join is avoided for its measured
+    per-call latency (see cogroup.py). Revenue rounds to whole dollars
+    (summation-order error ≪ 0.5).
     """
     import numpy as np
 
@@ -1218,7 +1217,12 @@ def events_interarrival(sf_dir: str) -> ray.data.Dataset:
     Scale plan: one user-hash bucketed co-group; the kernel argsorts
     the user's events and vectorizes the delta with np.diff — the
     same per-key searchsorted-kernel family as sessionize/as-of, no
-    global sort, no driver state.
+    driver state.
+
+    Output contract: the final ``.sort("event_id")`` exists only so the
+    oracle can hash a deterministic row order. Production consumers
+    take the co-group output as is; it stays shard-local (rows grouped
+    by user bucket, no global order), so drop the sort there.
     """
     import numpy as np
 
@@ -1263,6 +1267,10 @@ def events_running_total(sf_dir: str) -> ray.data.Dataset:
     the user's events and np.cumsum's the cents — same per-key
     vectorized family as interarrival/sessionize. Output is
     corpus-scale by definition (one row per event); no driver state.
+
+    Output contract: as for ``events_interarrival``, the final
+    ``.sort("event_id")`` exists only for oracle hashing; production
+    output stays shard-local (per user bucket, no global sort).
     """
     import numpy as np
 

@@ -53,7 +53,6 @@ def build_kg(
     *,
     concurrency=None,  # None → size the extractor pool to cluster CPUs
     batch_size: int = 128,
-    num_partitions: int = 16,
     sort_triples: bool = True,
     verifier_cls=None,        # swap the merge-decision model (A4/A5)
     defer_policy: str = "skip",
@@ -173,9 +172,7 @@ def build_kg(
         raw, cfg, verifier_cls=verifier_cls, defer_policy=defer_policy
     )
     comps = connected_components(edges)
-    entities = canonical_entities(
-        raw, comps, num_partitions=num_partitions
-    ).materialize()
+    entities = canonical_entities(raw, comps).materialize()
     merge_stats = compute_merge_stats(verdicts, entities.count())
 
     nmap = node_map(entities)
@@ -188,7 +185,6 @@ def build_kg(
         mention_triples(
             mentions,
             nmap,
-            num_partitions=num_partitions,
             dedup="local" if sort_triples else "global",
         )
     )

@@ -120,18 +120,13 @@ def _elect(g: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def canonical_entities(
-    raw_entities_ds,
-    components_ds,
-    *,
-    num_partitions: int = 32,  # kept for API compat; co-group self-sizes
-):
+def canonical_entities(raw_entities_ds, components_ds):
     """raw entities ⟕ components → per-component election (SHUFFLE).
 
     Uses the sort-shuffle co-group (stages/cogroup.py) instead of
-    ``Dataset.join``: a misrouted hash-join row here silently splits an
-    entity cluster, and this Ray build misroutes pandas-block joins in
-    some interpreters. Singletons default to component = own node_id.
+    ``Dataset.join``, for cost: the cogroup.py docstring gives the
+    measured join latency. Singletons default to component = own
+    node_id.
     """
     from .cogroup import attach_component, bucketed_map_groups
 
@@ -233,7 +228,6 @@ def mention_triples(
     mentions_ds,
     node_map_ds,
     *,
-    num_partitions: int = 32,
     broadcast_threshold: int = 5_000_000,
     dedup: str = "global",
 ):

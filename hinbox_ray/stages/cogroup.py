@@ -1,21 +1,27 @@
 """Sort-shuffle co-group joins and bucketed groupings.
 
-Two-sided attaches (``attach_component``, ``attach_entity_id``, the
-textops gram attach) tag each side, ``union`` them and run one
-``groupby(bucket).map_groups`` — the sort shuffle routes both sides by
-the same comparison key, so matching is exact by construction. They do
-not use ``Dataset.join`` for cost: measured on Ray 2.49.2 (4 cpus), a
-join took 3.6–5.2 s per call at every size from 19 to 50k rows, the
+``cogroup`` is the one two-sided exchange: it hashes every side on its
+key columns into the same buckets, ships each side's per-bucket
+sub-table as one Arrow IPC payload row ``(_gbucket, _side, _blob)``,
+groups the payload rows with one sort shuffle and hands the kernel
+whole per-side bucket frames. Sides keep their own schemas. They are
+not ``union``-ed as rows: on Ray 2.49.2 a ``union`` of two sides with
+different columns runs, but Ray concatenates the blocks through pandas
+and casts the other side's int64 column to float64, so the values
+2^62+0 … 2^62+5 all came back as 4.611686018427388e18. The attaches
+(``attach_component``, ``attach_entity_id``) and the graph queries
+(``pipelines/graph.py``) go through it. It does not use
+``Dataset.join`` for cost: measured on Ray 2.49.2 (4 cpus), a join
+took 3.6–5.2 s per call at every size from 19 to 50k rows, the
 bucketed co-group 0.14–2.5 s.
 
-Sizing rule. A sort-shuffle ``map_groups`` pays a fixed ~18 ms per
-INPUT block (about twice that when the upstream is lazy), nearly
-independent of rows and of ``num_partitions``, and every ``union``
-adds its sides' block counts. So every exchange here goes through
-``bucket_exchange``, whose bucket-tagging map (run after the sides are
-unioned) has ``batch_size=COALESCE_ROWS``: Ray bundles small upstream
-blocks into one task, and the shuffle sees about ⌈rows/COALESCE_ROWS⌉
-blocks. Blocks already over that size are unchanged. It adds no
+Sizing rule. A sort shuffle pays a fixed ~18 ms per INPUT block (about
+twice that when the upstream is lazy), nearly independent of rows and
+of ``num_partitions``, and every ``union`` adds its sides' block
+counts. So every exchange here tags its rows in a map with
+``batch_size=COALESCE_ROWS``: Ray bundles small upstream blocks into
+one task, and the shuffle sees about ⌈rows/COALESCE_ROWS⌉ blocks per
+side. Blocks already over that size are unchanged. It adds no
 ``count()``, no ``repartition`` and no parameter.
 
 Measured negatives (same probe setup):
@@ -24,12 +30,18 @@ Measured negatives (same probe setup):
 - ``repartition(1)`` coalesces, but adds one all-to-all per call
   (kgbench docs_dedup ``plan.all_to_all_calls`` 21 → 30);
 - ``groupby(..., num_partitions=cpus)`` moved nothing measurable.
+
+``bucket_exchange``, ``bucketed_map_groups`` and
+``bucketed_drop_duplicates`` are the one-sided exchanges of the dedup
+and textops paths: rows are tagged with their bucket and grouped by
+``groupby(_gbucket).map_groups``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 _FNV_PRIME = np.uint64(1099511628211)
 
@@ -121,6 +133,116 @@ def bucketed_drop_duplicates(ds, dedup_cols, *, bucket_cols=None, n_buckets=512)
     )
 
 
+def _key_list(cols) -> list:
+    return [cols] if isinstance(cols, str) else list(cols)
+
+
+def _to_payload(side: str, cols: list, n_buckets: int):
+    """Arrow batch → one ``(_gbucket, _side, _blob)`` row per bucket.
+    Key columns are normalised first (ints to int64, strings to
+    string), so int32 v int64 and Arrow-string v object keys hash
+    alike and the kernel sees one dtype."""
+
+    def fn(t: pa.Table) -> pa.Table:
+        for c in cols:
+            typ = t.schema.field(c).type
+            if pa.types.is_integer(typ):
+                to = pa.int64()
+            elif pa.types.is_dictionary(typ) or pa.types.is_large_string(typ):
+                to = pa.string()
+            else:
+                continue
+            t = t.set_column(t.schema.get_field_index(c), c, t[c].cast(to))
+        b = key_buckets(t.select(cols).to_pandas(), cols, n_buckets)
+        order = np.argsort(b, kind="stable")
+        b = b[order]
+        t = t.take(pa.array(order))
+        starts = np.flatnonzero(np.r_[True, b[1:] != b[:-1]]) if len(b) else b
+        blobs = []
+        for s, e in zip(starts, np.r_[starts[1:], len(b)]):
+            sink = pa.BufferOutputStream()
+            with pa.ipc.new_stream(sink, t.schema) as w:
+                w.write_table(t.slice(s, e - s))
+            blobs.append(sink.getvalue().to_pybytes())
+        return pa.table(
+            {
+                "_gbucket": pa.array(b[starts], pa.int64()),
+                "_side": pa.array([side] * len(blobs), pa.string()),
+                "_blob": pa.array(blobs, pa.large_binary()),
+            }
+        )
+
+    return fn
+
+
+def cogroup(sides: dict, on, kernel, *, n_buckets: int = 512):
+    """Co-group the datasets in ``sides`` on their key columns and run
+    ``kernel(frames)`` once per bucket, where ``frames`` maps each side
+    name to that side's pandas rows in the bucket, or ``None`` when the
+    side has none there. Every key lands in exactly one bucket, so a
+    kernel that merges its frames on the key joins exactly.
+
+    ``on`` names the key columns: one column or a list, shared by every
+    side, or a dict ``{side: columns}``; key columns pair by position.
+    Each side is coalesced by data rows (module docstring) and turned
+    into Arrow payload rows; the payload rows of all sides are
+    bundled again (at most one full payload batch per side) and one
+    sort shuffle on ``_gbucket`` groups them. The kernel returns a
+    DataFrame or ``None`` (no rows)."""
+    names = list(sides)
+    keys = {
+        n: _key_list(on[n] if isinstance(on, dict) else on) for n in names
+    }
+    tagged = [
+        sides[n].map_batches(
+            _to_payload(n, keys[n], n_buckets),
+            batch_format="pyarrow",
+            batch_size=COALESCE_ROWS,
+        )
+        for n in names
+    ]
+    ds = tagged[0]
+    if len(tagged) > 1:
+        # the union adds the sides' block counts; bundle the payload
+        # rows again so small sides share one shuffle input block
+        ds = ds.union(*tagged[1:]).map_batches(
+            lambda t: t,
+            batch_format="pyarrow",
+            batch_size=n_buckets * len(tagged),
+        )
+
+    def run(t: pa.Table):
+        b = t["_gbucket"].to_numpy()
+        side = t["_side"].to_numpy(zero_copy_only=False)
+        blob = t["_blob"]
+        outs = []
+        for bucket in np.unique(b):
+            frames = {}
+            for n in names:
+                parts = [
+                    pa.ipc.open_stream(blob[int(i)].as_buffer()).read_all()
+                    for i in np.flatnonzero((b == bucket) & (side == n))
+                ]
+                frames[n] = (
+                    pa.concat_tables(parts, promote_options="permissive")
+                    .to_pandas()
+                    if parts
+                    else None
+                )
+            out = kernel(frames)
+            if out is not None:
+                outs.append(out)
+        full = [o for o in outs if len(o)]
+        if full:
+            yield pd.concat(full, ignore_index=True)
+        elif outs:
+            yield outs[0]
+
+    return ds.sort("_gbucket").map_batches(
+        run, batch_format="pyarrow", batch_size=None
+    )
+
+
 # raw-entity column order (resolve._reduce_mention_group output + node_id)
 RAW_COLS = [
     "entity_type",
@@ -139,83 +261,39 @@ RAW_COLS = [
     "node_id",
 ]
 
-_STR_COLS = [
-    "entity_type",
-    "name",
-    "attr_type",
-    "start_date",
-    "end_date",
-    "event_type",
-    "description",
-    "aliases",
-    "first_url",
-    "evidence",
-]
-
 
 def attach_component(raw_ds, comps_ds, *, n_buckets: int = 512):
-    """raw(node_id, ...) ⟕ comps(node_id, component) via BUCKETED
-    co-group: one sort-shuffle on ``node_id % n_buckets`` (O(n_buckets)
-    Ray groups, not one per node — see ``bucketed_map_groups``), then a
-    vectorized pandas left-merge per bucket.
+    """raw(node_id, ...) ⟕ comps(node_id, component) via ``cogroup`` on
+    node_id, then a vectorized lookup per bucket.
 
     Returns the raw columns + ``component`` (int64); nodes absent from
     comps (singletons — no candidate edges) get their own node_id.
     """
 
-    def tag_left(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[RAW_COLS].copy()
-        df["component"] = np.int64(-1)
-        df["_src"] = np.int8(0)
-        return df
-
-    def tag_right(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(index=range(len(df)))
-        for c in _STR_COLS:
-            out[c] = ""
-        out["n_mentions"] = np.int64(0)
-        out["first_ord"] = np.int64(0)
-        out["first_ts"] = pd.NaT
-        out["node_id"] = df["node_id"].astype(np.int64).to_numpy()
-        out = out[RAW_COLS]
-        out["component"] = df["component"].astype(np.int64).to_numpy()
-        out["_src"] = np.int8(1)
-        return out
-
-    def resolve_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        maps = g[g["_src"] == 1][["node_id", "component"]].drop_duplicates(
-            "node_id"
-        )
-        rows = g[g["_src"] == 0].drop(
-            columns=["_src", "_gbucket", "component"]
-        )
-        if rows.empty:
-            out = rows.copy()
-            out["component"] = pd.Series(dtype=np.int64)
+    def resolve_bucket(f: dict):
+        raw, comps = f["raw"], f["comps"]
+        if raw is None:
+            return None
+        out = raw[RAW_COLS].copy()
+        nid = out["node_id"].to_numpy(np.int64)
+        if comps is None:
+            out["component"] = nid
             return out
         # INT-EXACT left lookup: a merge + fillna would pass the int64
         # component column through float64 (NaN for singletons), and
         # 63-bit ids lose precision above 2^53 — silently merging
         # unrelated clusters. get_indexer keeps everything integral.
-        out = rows.copy()
-        nid = out["node_id"].astype(np.int64).to_numpy()
-        if maps.empty:
-            out["component"] = nid
-            return out
-        idx = pd.Index(maps["node_id"].astype(np.int64).to_numpy())
-        pos = idx.get_indexer(nid)  # -1 where the node has no edge row
-        comp = maps["component"].astype(np.int64).to_numpy()
-        out["component"] = np.where(
-            pos >= 0, comp[np.maximum(pos, 0)], nid
-        ).astype(np.int64)
+        comps = comps.drop_duplicates("node_id")
+        pos = pd.Index(comps["node_id"].to_numpy(np.int64)).get_indexer(nid)
+        comp = comps["component"].to_numpy(np.int64)
+        out["component"] = np.where(pos >= 0, comp[np.maximum(pos, 0)], nid)
         return out
 
-    left = raw_ds.map_batches(tag_left, batch_format="pandas")
-    right = comps_ds.map_batches(tag_right, batch_format="pandas")
-    return bucket_exchange(
-        left.union(right),
-        lambda df: df["node_id"].to_numpy(np.int64) % n_buckets,
+    return cogroup(
+        {"raw": raw_ds, "comps": comps_ds},
+        "node_id",
         resolve_bucket,
+        n_buckets=n_buckets,
     )
 
 
@@ -233,82 +311,52 @@ def attach_entity_id(mention_nodes_ds, node_map_ds, *, n_salts: int = 16):
     Hot-entity skew handling (the north rule's "salted repartitioning"):
     a popular name ("United States") concentrates a large fraction of
     all mention rows under one node_id, so an unsalted groupby puts them
-    in one reduce task. The group key is (node_id, salt(url)); the tiny
+    in one reduce task. The co-group key is (node_id, salt(url)), which
+    spreads a hot node's rows over n_salts buckets; the tiny
     node→entity map is replicated to every salt. Salting by URL also
     keeps every duplicate of a given (entity, url) pair in the same
     salted group, so downstream dedup stays exact.
     """
 
-    n_buckets = 512
-
-    def _bucket(node: np.ndarray, salt: np.ndarray) -> np.ndarray:
-        # salt spreads a hot node's rows over n_salts buckets — the
-        # whole point of the salting — so the bucket must mix BOTH
-        return (
-            (node.astype(np.uint64) * _FNV_PRIME + salt.astype(np.uint64))
-            % np.uint64(n_buckets)
-        ).astype(np.int64)
-
-    def tag_left(df: pd.DataFrame) -> pd.DataFrame:
-        node = df["node_id"].astype(np.int64).to_numpy()
-        salt = _url_salt(df["url"], n_salts)
+    def salted(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
-                "node_id": node,
-                "salt": salt,
+                "node_id": df["node_id"].to_numpy(np.int64),
+                "salt": _url_salt(df["url"], n_salts),
                 "url": df["url"].astype(str),
-                "entity_id": "",
-                "_src": np.int8(0),
             }
         )
 
-    def tag_right(df: pd.DataFrame) -> pd.DataFrame:
+    def replicated(df: pd.DataFrame) -> pd.DataFrame:
         n = len(df)
-        node = np.repeat(df["node_id"].astype(np.int64).to_numpy(), n_salts)
-        salt = np.tile(np.arange(n_salts, dtype=np.int64), n)
         return pd.DataFrame(
             {
-                "node_id": node,
-                "salt": salt,
-                "url": "",
+                "node_id": np.repeat(df["node_id"].to_numpy(np.int64), n_salts),
+                "salt": np.tile(np.arange(n_salts, dtype=np.int64), n),
                 "entity_id": np.repeat(
                     df["entity_id"].astype(str).to_numpy(), n_salts
                 ),
-                "_src": np.int8(1),
             }
         )
 
-    def resolve_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        maps = g[g["_src"] == 1][["node_id", "entity_id"]].drop_duplicates(
-            "node_id"
-        )
-        rows = g[g["_src"] == 0]
-        if rows.empty or maps.empty:
-            return pd.DataFrame(
-                {
-                    "entity_id": pd.Series(dtype=object),
-                    "url": pd.Series(dtype=object),
-                    "salt": pd.Series(dtype=np.int64),
-                }
-            )
+    def resolve_bucket(f: dict):
+        rows, maps = f["rows"], f["maps"]
+        if rows is None or maps is None:
+            return None
         # (node, url) dedup is globally exact in-bucket: equal urls get
         # equal salts, so every copy of a (node, url) pair lands here
-        sub = rows[["node_id", "salt", "url"]].drop_duplicates(
-            ["node_id", "url"]
+        sub = rows.drop_duplicates(["node_id", "url"])
+        out = sub.merge(
+            maps[["node_id", "entity_id"]].drop_duplicates("node_id"),
+            on="node_id",
         )
-        out = sub.merge(maps, on="node_id", how="inner")
-        return pd.DataFrame(
-            {
-                "entity_id": out["entity_id"].astype(str).to_numpy(),
-                "url": out["url"].to_numpy(),
-                "salt": out["salt"].astype(np.int64).to_numpy(),
-            }
-        )
+        return out[["entity_id", "url", "salt"]]
 
-    left = mention_nodes_ds.map_batches(tag_left, batch_format="pandas")
-    right = node_map_ds.map_batches(tag_right, batch_format="pandas")
-    return bucket_exchange(
-        left.union(right),
-        lambda df: _bucket(df["node_id"].to_numpy(), df["salt"].to_numpy()),
+    return cogroup(
+        {
+            "rows": mention_nodes_ds.map_batches(salted, batch_format="pandas"),
+            "maps": node_map_ds.map_batches(replicated, batch_format="pandas"),
+        },
+        ["node_id", "salt"],
         resolve_bucket,
     )

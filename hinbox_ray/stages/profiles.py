@@ -218,7 +218,8 @@ def entity_profiles(
     articles = _article_lists(mentions_ds, nmap_df, max_versions)
 
     # co-group entities ⟕ article lists on entity_id (both vocab-scale);
-    # union-tag pattern (see stages/cogroup.py — Dataset.join misroutes)
+    # union-tag pattern, not Dataset.join: stages/cogroup.py gives the
+    # measured join latency
     def tag_ent(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {

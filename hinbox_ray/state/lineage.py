@@ -239,7 +239,6 @@ def resolve_from_checkpoint(
     out_dir: str,
     cfg: Optional[DomainConfig] = None,
     *,
-    num_partitions: int = 16,
     write_triples: bool = True,
     with_profiles: bool = False,
     sort_triples="global",
@@ -287,7 +286,7 @@ def resolve_from_checkpoint(
     raw = raw_entities(mentions).materialize()
     edges, verdicts = candidate_edges_with_verdicts(raw, cfg)
     comps = connected_components(edges)
-    entities = canonical_entities(raw, comps, num_partitions=num_partitions).materialize()
+    entities = canonical_entities(raw, comps).materialize()
     merge_stats = compute_merge_stats(verdicts, entities.count())
     profiles = None
     stats_doc = merge_stats.to_dict()
@@ -299,9 +298,7 @@ def resolve_from_checkpoint(
     _atomic_write_json(os.path.join(out_dir, "merge_stats.json"), stats_doc)
     nmap = node_map(entities)
     triples = entity_triples(entities).union(
-        mention_triples(
-            mentions, nmap, num_partitions=num_partitions, dedup="local"
-        )
+        mention_triples(mentions, nmap, dedup="local")
     )
     from ..pipelines.kg import _distinct_sorted_block, sharded_sorted_triples
 

@@ -124,6 +124,72 @@ def test_attach_entity_id_inner_semantics(ray_session):
     assert pairs == {("e:a", "u1"), ("e:a", "u2"), ("e:b", "u3")}
 
 
+def test_cogroup_exact_across_schemas_keys_and_blocks(ray_session):
+    """Sides with different columns co-group exactly: an int64 payload
+    >= 2^62 round-trips bit-exact, an int32 key meets its int64 twin
+    (and a large_string key its object twin), a side absent from a
+    bucket arrives as None, and 1, 8 or 49 input blocks give equal
+    output."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from hinbox_ray.stages.cogroup import cogroup
+
+    keys = np.arange(60)
+    left = pd.DataFrame(
+        {
+            "k": keys.astype(np.int32),
+            "big": (np.int64(1) << np.int64(62)) + keys.astype(np.int64),
+        }
+    )
+    right = pd.DataFrame(
+        {"key": keys[::3].astype(np.int64), "name": [f"n{k}" for k in keys[::3]]}
+    )
+
+    def kernel(f):
+        lf, rf = f["l"], f["r"]
+        if lf is None:
+            return None
+        assert lf["k"].dtype == np.int64  # keys normalised before the kernel
+        out = lf.assign(r_absent=rf is None)
+        if rf is None:
+            return out.assign(name="")
+        return out.merge(rf, left_on="k", right_on="key", how="left").drop(
+            columns="key"
+        ).fillna({"name": ""})
+
+    want = left.assign(k=left["k"].astype(np.int64))
+    want["name"] = [f"n{k}" if k % 3 == 0 else "" for k in keys]
+    for n in BLOCK_COUNTS:
+        got = (
+            cogroup(
+                {"l": _blocked(left, n), "r": _blocked(right, n)},
+                {"l": "k", "r": "key"},
+                kernel,
+                n_buckets=64,
+            )
+            .to_pandas()
+            .sort_values("k")
+            .reset_index(drop=True)
+        )
+        assert got["big"].dtype == np.int64
+        pd.testing.assert_frame_equal(got[["k", "big", "name"]], want, check_dtype=True)
+        assert got["r_absent"].any() and not got["r_absent"].all()
+
+    strs = rd.from_arrow(
+        pa.table({"s": pa.array(["x", "y", "z"], pa.large_string()), "v": [1, 2, 3]})
+    )
+    objs = rd.from_pandas(pd.DataFrame({"t": ["x", "z", "w"], "w": [10, 30, 40]}))
+    got = cogroup(
+        {"a": strs, "b": objs},
+        {"a": "s", "b": "t"},
+        lambda f: None
+        if f["a"] is None or f["b"] is None
+        else f["a"].merge(f["b"], left_on="s", right_on="t"),
+    ).to_pandas()
+    assert sorted(zip(got["s"], got["v"], got["w"])) == [("x", 1, 10), ("z", 3, 30)]
+
+
 def test_bucketed_map_groups_matches_plain_groupby(ray_session):
     """The bucketed shuffle must be semantically identical to one Ray
     group per key — same groups, same kernel outputs — while creating

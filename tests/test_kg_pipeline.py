@@ -15,7 +15,7 @@ def kg(ray_session):
     from hinbox_ray.pipelines.kg import build_kg
 
     pages = rd.from_arrow(generate_pages_table(N_DOCS))
-    res = build_kg(pages, concurrency=2, batch_size=128, num_partitions=4)
+    res = build_kg(pages, concurrency=2, batch_size=128)
     return {
         "triples": res.triples.to_pandas(),
         "entities": res.entities.to_pandas(),
@@ -94,7 +94,7 @@ def test_deterministic_across_runs(ray_session, kg):
     from hinbox_ray.pipelines.kg import build_kg
 
     pages = rd.from_arrow(generate_pages_table(N_DOCS))
-    res2 = build_kg(pages, concurrency=2, batch_size=64, num_partitions=2)
+    res2 = build_kg(pages, concurrency=2, batch_size=64)
     t2 = res2.triples.to_pandas()
     t1 = kg["triples"]
     assert list(zip(t1["subj"], t1["pred"], t1["obj"])) == list(
@@ -155,6 +155,23 @@ def test_sorted_triples_are_globally_distinct(ray_session):
     # the variant pairs truly merged (worst case exercised)
     n_people = len(res.entities.to_pandas().query("entity_type == 'people'"))
     assert n_people == 1
+    # the salted co-group branch (taken above broadcast_threshold)
+    # links exactly the (entity, url) pairs of the broadcast lookup
+    from hinbox_ray.stages.canonical import mention_triples, node_map
+
+    nmap = node_map(res.entities).materialize()
+    by_path = [
+        sorted(
+            mention_triples(res.mentions, nmap, broadcast_threshold=t)
+            .to_pandas()[["subj", "pred", "obj"]]
+            .itertuples(index=False, name=None)
+        )
+        for t in (5_000_000, 0)
+    ]
+    assert by_path[0] == by_path[1]
+    assert by_path[0] == sorted(
+        m[["subj", "pred", "obj"]].itertuples(index=False, name=None)
+    )
 
 
 def test_raw_entities_empty_corpus(ray_session):

@@ -50,7 +50,7 @@ def test_full_run_writes_manifests_and_triples(ray_session, corpus, tmp_path):
         assert rec["n_docs"] > 0
         assert os.path.isdir(rec["mentions_dir"])
         assert rec["url_min"].startswith("https://")
-    res = resolve_from_checkpoint(out, num_partitions=4, with_profiles=True)
+    res = resolve_from_checkpoint(out, with_profiles=True)
     assert res.triples.count() > 0
     assert os.path.isdir(os.path.join(out, "triples"))
     # manifests reload identically
@@ -73,7 +73,7 @@ def test_resume_skips_done_and_matches_fresh_run(ray_session, corpus, tmp_path):
 
     fresh = str(tmp_path / "fresh")
     run_extract_with_resume(corpus, fresh, concurrency=2, batch_size=64)
-    resolve_from_checkpoint(fresh, num_partitions=4)
+    resolve_from_checkpoint(fresh)
     expected = _triples(fresh)
 
     # simulate a crash after 2 of 4 partitions: copy manifests + mentions
@@ -94,7 +94,7 @@ def test_resume_skips_done_and_matches_fresh_run(ray_session, corpus, tmp_path):
 
     manifests = run_extract_with_resume(corpus, part, concurrency=2, batch_size=64)
     assert len(manifests) == SHARDS
-    resolve_from_checkpoint(part, num_partitions=4)
+    resolve_from_checkpoint(part)
     assert _triples(part) == expected
 
 
@@ -177,8 +177,8 @@ def test_resolve_from_checkpoint_sharded_layout(ray_session, corpus, tmp_path):
     out_s = str(tmp_path / "sharded")
     for out in (out_g, out_s):
         run_extract_with_resume(corpus, out, concurrency=2, batch_size=64)
-    resolve_from_checkpoint(out_g, num_partitions=4)
-    resolve_from_checkpoint(out_s, num_partitions=4, sort_triples="sharded")
+    resolve_from_checkpoint(out_g)
+    resolve_from_checkpoint(out_s, sort_triples="sharded")
 
     tdir = os.path.join(out_s, "triples")
     shard_dirs = sorted(d for d in os.listdir(tdir) if d.startswith("shard="))
@@ -250,7 +250,7 @@ def test_validate_shards_on_resumed_sharded_run(ray_session, corpus, tmp_path):
     run_extract_with_resume(corpus, out, concurrency=2, batch_size=64)
     again = run_extract_with_resume(corpus, out, concurrency=2, batch_size=64)
     assert len(again) == SHARDS
-    resolve_from_checkpoint(out, num_partitions=4, sort_triples="sharded")
+    resolve_from_checkpoint(out, sort_triples="sharded")
 
     tdir = os.path.join(out, "triples")
     rep = validate_shard_dir(tdir)

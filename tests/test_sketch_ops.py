@@ -123,7 +123,7 @@ def test_triangle_counts_match_bruteforce(ray_session):
 
     import __ray_entry__ as E
 
-    com = E._kg_comention_planted(SF).to_pandas()
+    com = E.queries()["kg_comention_planted"](SF).to_pandas()
     strong = com[com["n_docs"] >= 4]
     adj: dict = {}
     for a, b in zip(strong["ea"], strong["eb"]):
@@ -136,7 +136,7 @@ def test_triangle_counts_match_bruteforce(ray_session):
             truth[b] += 1
             truth[c] += 1
 
-    got = E._kg_triangles_planted(SF).to_pandas()
+    got = E.queries()["kg_triangles_planted"](SF).to_pandas()
     assert len(got) == len(truth)
     for subj, n in zip(got["subj"], got["n_triangles"]):
         assert n == truth[subj], (subj, n, truth[subj])
@@ -266,7 +266,7 @@ def test_kcore_matches_peel_to_fixpoint(ray_session):
     is non-vacuous."""
     import __ray_entry__ as E
 
-    com = E._kg_comention_planted(SF).to_pandas()
+    com = E.queries()["kg_comention_planted"](SF).to_pandas()
     strong = com[com["n_docs"] >= 6]
     edges = set(zip(strong["ea"], strong["eb"]))
     nodes0 = {x for e in edges for x in e}
@@ -288,7 +288,7 @@ def test_kcore_matches_peel_to_fixpoint(ray_session):
         deg[a] = deg.get(a, 0) + 1
         deg[b] = deg.get(b, 0) + 1
 
-    got = E._kg_kcore_planted(SF).to_pandas()
+    got = E.queries()["kg_kcore_planted"](SF).to_pandas()
     assert len(got) == len(nodes0)
     assert set(got.loc[got["in_core"] == 1, "subj"]) == set(deg)
     assert 0 < len(deg) < len(nodes0)  # non-trivial core
@@ -309,7 +309,7 @@ def test_labelprop_matches_sync_sim(ray_session):
 
     import __ray_entry__ as E
 
-    com = E._kg_comention_planted(SF).to_pandas()
+    com = E.queries()["kg_comention_planted"](SF).to_pandas()
     strong = com[com["n_docs"] >= 6]
     adj = defaultdict(list)
     for a, b in zip(strong["ea"], strong["eb"]):
@@ -333,7 +333,7 @@ def test_labelprop_matches_sync_sim(ray_session):
     assert rounds_changed >= 3  # the iteration is exercised
     assert stable  # 7 rounds reach the fixpoint
 
-    got = E._kg_labelprop_planted(SF).to_pandas()
+    got = E.queries()["kg_labelprop_planted"](SF).to_pandas()
     assert len(got) == len(nodes)
     for r in got.itertuples():
         assert r.community == lab[r.subj], (r.subj, r.community)
@@ -349,7 +349,7 @@ def test_linkpred_matches_bruteforce(ray_session):
 
     import __ray_entry__ as E
 
-    com = E._kg_comention_planted(SF).to_pandas()
+    com = E.queries()["kg_comention_planted"](SF).to_pandas()
     strong = com[com["n_docs"] >= 4]
     edges = set(zip(strong["ea"], strong["eb"]))
     adj = defaultdict(set)
@@ -367,7 +367,7 @@ def test_linkpred_matches_bruteforce(ray_session):
                 jac = (10**6 * cn) // (len(adj[a]) + len(adj[b]) - cn)
                 truth[(a, b)] = (cn, jac)
 
-    got = E._kg_linkpred_planted(SF).to_pandas()
+    got = E.queries()["kg_linkpred_planted"](SF).to_pandas()
     assert len(got) == len(truth) > 0
     for r in got.itertuples():
         assert (r.cn, r.jac_e6) == truth[(r.ea, r.eb)], (r.ea, r.eb)
@@ -384,7 +384,7 @@ def test_bfs_depth_matches_python_bfs(ray_session):
 
     import __ray_entry__ as E
 
-    com = E._kg_comention_planted(SF).to_pandas()
+    com = E.queries()["kg_comention_planted"](SF).to_pandas()
     strong = com[com["n_docs"] >= 6]
     adj = defaultdict(set)
     for a, b in zip(strong["ea"], strong["eb"]):
@@ -402,7 +402,7 @@ def test_bfs_depth_matches_python_bfs(ray_session):
     ecc = max(depth.values())
     assert 3 <= ecc <= 7  # deep cascade, within the fixed rounds
 
-    got = E._kg_bfs_depth_planted(SF).to_pandas()
+    got = E.queries()["kg_bfs_depth_planted"](SF).to_pandas()
     assert len(got) == len(adj)
     for r in got.itertuples():
         assert r.depth == depth.get(r.subj, -1), (r.subj, r.depth)
@@ -453,7 +453,7 @@ def test_neighbor_agg_matches_python_sim(ray_session):
 
     import __ray_entry__ as E
 
-    com = E._kg_comention_planted(SF).to_pandas()
+    com = E.queries()["kg_comention_planted"](SF).to_pandas()
     strong = com[com["n_docs"] >= 4]
     adj = defaultdict(set)
     for a, b in zip(strong["ea"], strong["eb"]):
@@ -470,7 +470,7 @@ def test_neighbor_agg_matches_python_sim(ray_session):
         for v in adj:
             hist[v].append(f[v])
 
-    got = E._kg_neighbor_agg_planted(SF).to_pandas()
+    got = E.queries()["kg_neighbor_agg_planted"](SF).to_pandas()
     assert len(got) == len(adj)
     for r in got.itertuples():
         assert [r.f0, r.f1, r.f2] == hist[r.subj], (r.subj,)
@@ -488,7 +488,7 @@ def test_modularity_matches_python_recompute(ray_session):
 
     import __ray_entry__ as E
 
-    com = E._kg_comention_planted(SF).to_pandas()
+    com = E.queries()["kg_comention_planted"](SF).to_pandas()
     strong = com[com["n_docs"] >= 6]
     edges = list(zip(strong["ea"], strong["eb"]))
     adj = defaultdict(list)
@@ -521,7 +521,7 @@ def test_modularity_matches_python_recompute(ray_session):
         for c in n_nodes
     }
 
-    got = E._kg_modularity_planted(SF).to_pandas()
+    got = E.queries()["kg_modularity_planted"](SF).to_pandas()
     assert {
         r.community: (r.n_nodes, r.intra_edges, r.deg_sum, r.q_e9)
         for r in got.itertuples()
