@@ -162,15 +162,15 @@ def _kg_increment_planted(sf_dir: str) -> Any:
     the old spelling's triples ('-' rows) while asserting the new ones
     ('+' rows); at sf0.001 the planted corpus yields 119 '+' and 65 '-'
     rows, so both branches are non-vacuous. The diff itself is ONE
-    triple-hash bucketed co-group over the tagged union (set anti-join
-    both ways; each triple set is already distinct), the update shape a
-    store ships downstream. The DuckDB oracle derives both ground-truth
+    ``cogroup`` of the two triple sets on the triple (set anti-join
+    both ways, one outer merge per bucket), the update shape a store
+    ships downstream. The DuckDB oracle derives both ground-truth
     sets independently from the filtered and unfiltered plant plans and
     EXCEPTs them both ways.
 
     Scale plan: the two KG runs stream independently; the diff exchange
-    carries (subj, pred, obj, kind) rows on a 512-bucket triple-hash
-    key and emits only asymmetric groups — output is diff-scale, not
+    carries (subj, pred, obj) rows on a 512-bucket triple-hash key and
+    emits only one-sided triples — output is diff-scale, not
     corpus-scale. In production the base triple set reads from the
     previous run's sorted Parquet instead of recomputing (the lineage
     manifests make that read prunable); recomputing here keeps the
@@ -183,7 +183,7 @@ def _kg_increment_planted(sf_dir: str) -> Any:
     from hinbox_ray.pipelines.kg import build_kg
     from hinbox_ray.sources.planted import planted_pages_batch
     from hinbox_ray.sources.reader import read_parquet_clean
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
+    from hinbox_ray.stages.cogroup import cogroup
 
     docs = read_parquet_clean(
         f"{sf_dir.rstrip('/')}/documents.parquet", columns=["doc_id"]
@@ -202,41 +202,20 @@ def _kg_increment_planted(sf_dir: str) -> Any:
     ).triples
     base = build_kg(base_pages).triples
 
-    def tag(kind: int):
-        def fn(df: pd.DataFrame) -> pd.DataFrame:
-            out = df[["subj", "pred", "obj"]].copy()
-            out["kind"] = np.full(len(df), kind, dtype=np.int64)
-            return out
+    cols = ["subj", "pred", "obj"]
 
-        return fn
-
-    def diff(g: pd.DataFrame) -> pd.DataFrame:
-        kinds = set(g["kind"])
-        if kinds == {0, 1}:  # present in both: no change
-            return pd.DataFrame(
-                {
-                    "subj": pd.Series([], dtype=object),
-                    "pred": pd.Series([], dtype=object),
-                    "obj": pd.Series([], dtype=object),
-                    "delta": pd.Series([], dtype=object),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "subj": [g["subj"].iloc[0]],
-                "pred": [g["pred"].iloc[0]],
-                "obj": [g["obj"].iloc[0]],
-                "delta": ["+" if kinds == {0} else "-"],
-            }
+    def diff(f: dict) -> pd.DataFrame:
+        full_, base_ = (
+            pd.DataFrame(columns=cols) if f[n] is None else f[n][cols].drop_duplicates()
+            for n in ("full", "base")
         )
+        m = full_.merge(base_, how="outer", indicator=True)
+        m = m[m["_merge"] != "both"]
+        return m[cols].assign(delta=np.where(m["_merge"] == "left_only", "+", "-"))
 
-    return bucketed_map_groups(
-        full.map_batches(tag(0), batch_format="pandas").union(
-            base.map_batches(tag(1), batch_format="pandas")
-        ),
-        ["subj", "pred", "obj"],
-        diff,
-    ).sort(["subj", "pred", "obj", "delta"])
+    return cogroup({"full": full, "base": base}, cols, diff).sort(
+        ["subj", "pred", "obj", "delta"]
+    )
 
 
 def _pages_url_canonicalize(sf_dir: str) -> Any:
@@ -1930,7 +1909,7 @@ def oracle_sql() -> dict[str, str]:
         """,
         "doc_jaccard_sample": """
             WITH toks AS (
-                SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS t
+                SELECT doc_id, regexp_split_to_array(trim(text), '\\s+') AS t
                 FROM documents WHERE doc_id % 2 = 0
             ),
             g AS (
@@ -1951,7 +1930,7 @@ def oracle_sql() -> dict[str, str]:
         """,
         "doc_wordpiece_count": """
             SELECT doc_id,
-                   len(regexp_extract_all(lower(text), '[a-z]+|[0-9]+|[^a-z0-9\s]'))::BIGINT
+                   len(regexp_extract_all(lower(text), '[a-z]+|[0-9]+|[^a-z0-9\\s]'))::BIGINT
                      AS n_pieces
             FROM documents
         """,

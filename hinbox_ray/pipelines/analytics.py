@@ -667,6 +667,8 @@ def orders_lineitem_range_join(
     import numpy as np
     import pandas as pd
 
+    from ..stages.cogroup import cogroup
+
     assert band_days >= window_days, "an interval must span ≤ 2 bands"
     _US_PER_DAY = 86_400_000_000
 
@@ -684,20 +686,17 @@ def orders_lineitem_range_join(
         b_hi = ud // band_days
         b_lo = (ud - window_days + 1) // band_days
         dup = b_lo != b_hi
-        band = np.concatenate([b_hi, b_lo[dup]])
-        n = len(band)
         return pa.table(
             {
-                "band": pa.array(band, type=pa.int64()),
-                "kind": pa.array(np.zeros(n, dtype=np.int8)),
+                "band": pa.array(
+                    np.concatenate([b_hi, b_lo[dup]]), type=pa.int64()
+                ),
                 "day": pa.array(
                     np.concatenate([ud, ud[dup]]), type=pa.int64()
                 ),
                 "cnt": pa.array(
                     np.concatenate([cnt, cnt[dup]]).astype(np.int64)
                 ),
-                "o_orderkey": pa.array(np.full(n, -1, dtype=np.int64)),
-                "end_day": pa.array(np.full(n, -1, dtype=np.int64)),
             }
         )
 
@@ -709,42 +708,38 @@ def orders_lineitem_range_join(
         )
         end = start + window_days  # exclusive
         okey = batch["o_orderkey"].to_numpy()
-        n = len(start)
         return pa.table(
             {
                 "band": pa.array(start // band_days, type=pa.int64()),
-                "kind": pa.array(np.ones(n, dtype=np.int8)),
                 "day": pa.array(start, type=pa.int64()),
-                "cnt": pa.array(np.zeros(n, dtype=np.int64)),
                 "o_orderkey": pa.array(okey, type=pa.int64()),
                 "end_day": pa.array(end, type=pa.int64()),
             }
         )
 
-    def band_kernel(g: "pd.DataFrame") -> "pd.DataFrame":
-        is_pt = (g["kind"] == 0).to_numpy()
-        iv = g[~is_pt]
-        if len(iv) == 0:
-            return pd.DataFrame(
-                {
-                    "o_orderkey": pd.Series([], dtype="int64"),
-                    "n_shipped": pd.Series([], dtype="int64"),
-                }
+    def band_kernel(f: dict):
+        iv = f["ivs"]
+        if iv is None:
+            return None
+        cnt = np.zeros(len(iv), dtype=np.int64)
+        if f["pts"] is not None:
+            # a bucket may hold several bands: key every point and every
+            # interval bound by (band, day) so an interval only counts
+            # its own band's points. (day, cnt) pairs may repeat across
+            # batches — sorting and prefix-summing the multiset handles
+            # that without a pre-merge. Every point an interval of a band
+            # can see was shipped to it (points replicate to both
+            # reachable bands), so the [start, end) count is final.
+            pts = f["pts"]
+            pk = (pts["band"].to_numpy() << 32) + pts["day"].to_numpy()
+            o_ = np.argsort(pk, kind="stable")
+            pk = pk[o_]
+            cum = np.concatenate([[0], np.cumsum(pts["cnt"].to_numpy()[o_])])
+            base = iv["band"].to_numpy() << 32
+            cnt = (
+                cum[np.searchsorted(pk, base + iv["end_day"].to_numpy())]
+                - cum[np.searchsorted(pk, base + iv["day"].to_numpy())]
             )
-        # (day, cnt) pairs may repeat across batches — sorting and
-        # prefix-summing the multiset handles that without a pre-merge
-        days = g["day"].to_numpy()[is_pt]
-        dcnt = g["cnt"].to_numpy()[is_pt]
-        o_ = np.argsort(days, kind="stable")
-        days, dcnt = days[o_], dcnt[o_]
-        cum = np.concatenate([[0], np.cumsum(dcnt)])
-        # every point an interval of THIS band can see was shipped
-        # here (points replicate to both reachable bands), so count
-        # the full [start, end) range — the answer is final
-        cnt = (
-            cum[np.searchsorted(days, iv["end_day"].to_numpy(), side="left")]
-            - cum[np.searchsorted(days, iv["day"].to_numpy(), side="left")]
-        )
         return pd.DataFrame(
             {
                 "o_orderkey": iv["o_orderkey"].to_numpy().astype(np.int64),
@@ -758,40 +753,38 @@ def orders_lineitem_range_join(
     ivs = read_table(
         sf_dir, "orders", columns=["o_orderkey", "o_orderdate"]
     ).map_batches(intervals, batch_format="pyarrow")
-    return (
-        pts.union(ivs)
-        .groupby("band")
-        .map_groups(band_kernel, batch_format="pandas")
-        .sort("o_orderkey")
+    return cogroup({"pts": pts, "ivs": ivs}, "band", band_kernel).sort(
+        "o_orderkey"
     )
 
 
 # ---------------------------------------------------------------------------
-# Bucketed hash-partition joins (inner / semi / anti on a high-cardinality
-# key).  ``groupby(key).map_groups`` is the wrong shape for a join on
-# millions of distinct keys (~0.4 ms fixed cost per tiny group); instead
-# both sides map onto ``key % n_buckets`` and ONE sort-shuffle co-locates
-# each bucket, whose kernel is a vectorized pandas/numpy merge.  Bucket
-# count scales with the cluster (buckets ≈ 4× total cores keeps every
-# reducer busy and each bucket ≪ worker heap); key→bucket is uniform for
-# surrogate keys, so no salt is needed.  Only the lean projected columns
-# cross the shuffle — never the source tables.
+# Hash-partition joins (inner / semi / anti on a high-cardinality key)
+# through ``stages.cogroup.cogroup``: both sides hash onto the same
+# buckets, ONE sort shuffle co-locates each bucket, and the kernel is a
+# vectorized pandas/numpy merge over the two side frames.  One Ray group
+# per key would pay ~0.4 ms fixed cost per tiny group at millions of
+# keys.  Key→bucket is uniform for surrogate keys, so no salt is
+# needed.  Only the lean projected columns cross the shuffle — never
+# the source tables.
 
 
-def revenue_by_region(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
+def revenue_by_region(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q5-shaped 5-way join: lineitem ⋈ orders ⋈ customer ⋈ nation
     ⋈ region → revenue per region.
 
     Physical plan: customer→nation→region collapses to one broadcast
     int64→int8 lookup (c_custkey → r_regionkey, vectorized
     ``np.searchsorted``) applied to the orders stream; the one genuinely
-    corpus-scale join (lineitem ⋈ orders on orderkey) is the bucketed
-    co-group above, with revenue pre-summed per bucket so each bucket
+    corpus-scale join (lineitem ⋈ orders on orderkey) is the
+    ``cogroup`` above, with revenue pre-summed per bucket so each bucket
     emits ≤ |regions| rows.  Revenue rounds to whole dollars —
     summation-order error ≪ 0.5 at gate scale (see module float policy).
     """
     import numpy as np
     import pandas as pd
+
+    from ..stages.cogroup import cogroup
 
     cust = _small_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     nation = _small_table(sf_dir, "nation", ["n_nationkey", "n_regionkey"])
@@ -816,66 +809,32 @@ def revenue_by_region(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
         ok = batch["o_custkey"].to_numpy(zero_copy_only=False)
         pos = np.clip(np.searchsorted(ckeys, ok), 0, len(ckeys) - 1)
         reg = np.where(ckeys[pos] == ok, cregs[pos], -1)
-        okey = batch["o_orderkey"].to_numpy(zero_copy_only=False)
+        keep = reg >= 0
         return pa.table(
             {
-                "bucket": pa.array(okey % n_buckets, type=pa.int64()),
-                "orderkey": pa.array(okey, type=pa.int64()),
-                "regionkey": pa.array(reg, type=pa.int64()),
-                "rev": pa.array(np.zeros(len(ok)), type=pa.float64()),
-                "src": pa.array(np.ones(len(ok), dtype=np.int8)),
+                "orderkey": pa.array(
+                    batch["o_orderkey"].to_numpy(zero_copy_only=False)[keep],
+                    type=pa.int64(),
+                ),
+                "regionkey": pa.array(reg[keep], type=pa.int64()),
             }
         )
 
     def lineitem_side(batch: pa.Table) -> pa.Table:
-        lkey = batch["l_orderkey"].to_numpy(zero_copy_only=False)
         rev = pc.multiply(
             batch["l_extendedprice"],
             pc.subtract(_ONE, batch["l_discount"]),
         )
-        n = len(lkey)
-        return pa.table(
-            {
-                "bucket": pa.array(lkey % n_buckets, type=pa.int64()),
-                "orderkey": pa.array(lkey, type=pa.int64()),
-                "regionkey": pa.array(np.full(n, -1, dtype=np.int64)),
-                "rev": rev,
-                "src": pa.array(np.zeros(n, dtype=np.int8)),
-            }
-        )
+        return pa.table({"orderkey": batch["l_orderkey"], "rev": rev})
 
-    def bucket_join(g: "pd.DataFrame") -> "pd.DataFrame":
-        is_ord = (g["src"] == 1).to_numpy()
-        od = g[is_ord]
-        li = g[~is_ord]
-        okeys = od["orderkey"].to_numpy()
-        oregs = od["regionkey"].to_numpy()
-        o_ = np.argsort(okeys, kind="stable")
-        okeys, oregs = okeys[o_], oregs[o_]
-        lk = li["orderkey"].to_numpy()
-        pos = np.clip(np.searchsorted(okeys, lk), 0, max(len(okeys) - 1, 0))
-        reg = (
-            np.where(okeys[pos] == lk, oregs[pos], -1)
-            if len(okeys)
-            else np.full(len(lk), -1, dtype=np.int64)
-        )
-        keep = reg >= 0
-        if not keep.any():
-            return pd.DataFrame(
-                {
-                    "regionkey": pd.Series([], dtype="int64"),
-                    "partial_rev": pd.Series([], dtype="float64"),
-                }
-            )
-        s = (
-            pd.Series(li["rev"].to_numpy()[keep])
-            .groupby(reg[keep])
-            .sum()
-        )
+    def bucket_join(f: dict):
+        if f["li"] is None or f["od"] is None:
+            return None
+        s = f["li"].merge(f["od"], on="orderkey").groupby("regionkey")["rev"].sum()
         return pd.DataFrame(
             {
                 "regionkey": s.index.to_numpy().astype(np.int64),
-                "partial_rev": s.to_numpy(),
+                "partial_rev": s.to_numpy().astype(np.float64),
             }
         )
 
@@ -887,9 +846,9 @@ def revenue_by_region(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
     ).map_batches(lineitem_side, batch_format="pyarrow")
 
     agg = small_groupby_aggregate(
-        lineitem.union(orders)
-        .groupby("bucket")
-        .map_groups(bucket_join, batch_format="pandas"),
+        cogroup(
+            {"li": lineitem, "od": orders}, "orderkey", bucket_join, n_buckets=256
+        ),
         "regionkey",
         {"rev_sum": ("partial_rev", "sum")},
     )
@@ -912,29 +871,19 @@ def revenue_by_region(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
 _LAPSED_CUTOFF_US = 946_684_800_000_000  # 2000-01-01 in epoch µs
 
 
-def customers_no_orders(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
+def customers_no_orders(sf_dir: str) -> ray.data.Dataset:
     """Distributed ANTI join: customers with zero orders since
     2000-01-01 (every synthetic FK is fully covered, so the unfiltered
     anti-join is vacuously empty — the date predicate makes the
     semantics observable), counted per market segment.  Orders prune at
     the read (2 columns), filter vectorized, then pre-thin to
-    per-batch-distinct custkeys (combiner) before the bucketed
-    co-group; the kernel is one vectorized ``np.isin`` +
-    ``value_counts`` per bucket.
+    per-batch-distinct custkeys (combiner) before the ``cogroup``; the
+    kernel is one vectorized ``np.isin`` + ``value_counts`` per bucket.
     """
     import numpy as np
     import pandas as pd
 
-    def cust_side(batch: pa.Table) -> pa.Table:
-        ck = batch["c_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(ck % n_buckets, type=pa.int64()),
-                "custkey": pa.array(ck, type=pa.int64()),
-                "seg": batch["c_mktsegment"],
-                "src": pa.array(np.zeros(len(ck), dtype=np.int8)),
-            }
-        )
+    from ..stages.cogroup import cogroup
 
     def orders_side(batch: pa.Table) -> pa.Table:
         recent = pc.greater_equal(
@@ -943,28 +892,15 @@ def customers_no_orders(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
         ck = np.unique(
             batch["o_custkey"].filter(recent).to_numpy(zero_copy_only=False)
         )
-        return pa.table(
-            {
-                "bucket": pa.array(ck % n_buckets, type=pa.int64()),
-                "custkey": pa.array(ck, type=pa.int64()),
-                "seg": pa.array([""] * len(ck), type=pa.string()),
-                "src": pa.array(np.ones(len(ck), dtype=np.int8)),
-            }
-        )
+        return pa.table({"o_custkey": pa.array(ck, type=pa.int64())})
 
-    def bucket_anti(g: "pd.DataFrame") -> "pd.DataFrame":
-        is_cust = (g["src"] == 0).to_numpy()
-        cust = g[is_cust]
-        with_orders = g["custkey"].to_numpy()[~is_cust]
-        lonely = ~np.isin(cust["custkey"].to_numpy(), with_orders)
-        if not lonely.any():
-            return pd.DataFrame(
-                {
-                    "seg": pd.Series([], dtype=object),
-                    "partial": pd.Series([], dtype="int64"),
-                }
-            )
-        vc = cust["seg"][lonely].value_counts()
+    def bucket_anti(f: dict):
+        cust = f["cust"]
+        if cust is None:
+            return None
+        if f["orders"] is not None:
+            cust = cust[~np.isin(cust["c_custkey"], f["orders"]["o_custkey"])]
+        vc = cust["c_mktsegment"].value_counts()
         return pd.DataFrame(
             {
                 "seg": vc.index.to_numpy().astype(object),
@@ -972,16 +908,17 @@ def customers_no_orders(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
             }
         )
 
-    cust = read_table(
-        sf_dir, "customer", columns=["c_custkey", "c_mktsegment"]
-    ).map_batches(cust_side, batch_format="pyarrow")
+    cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = read_table(
         sf_dir, "orders", columns=["o_custkey", "o_orderdate"]
     ).map_batches(orders_side, batch_format="pyarrow")
     return (
-        cust.union(orders)
-        .groupby("bucket")
-        .map_groups(bucket_anti, batch_format="pandas")
+        cogroup(
+            {"cust": cust, "orders": orders},
+            {"cust": "c_custkey", "orders": "o_custkey"},
+            bucket_anti,
+            n_buckets=256,
+        )
         .groupby("seg")
         .aggregate(Sum("partial", alias_name="n_customers"))
         .map_batches(
@@ -996,55 +933,32 @@ def customers_no_orders(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
     )
 
 
-def suppliers_with_shipments(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
+def suppliers_with_shipments(sf_dir: str) -> ray.data.Dataset:
     """Distributed SEMI join: suppliers with ≥1 lineitem, counted per
     nation.  The corpus-scale side (lineitem) reduces to per-batch
     distinct suppkeys before the shuffle; supplier carries its
-    nationkey through the bucketed co-group; nation names broadcast.
+    nationkey through the ``cogroup``; nation names broadcast.
     """
     import numpy as np
     import pandas as pd
+
+    from ..stages.cogroup import cogroup
 
     nation = _small_table(sf_dir, "nation", ["n_nationkey", "n_name"])
     nname = dict(
         zip(nation["n_nationkey"].to_pylist(), nation["n_name"].to_pylist())
     )
 
-    def supp_side(batch: pa.Table) -> pa.Table:
-        sk = batch["s_suppkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array(sk % n_buckets, type=pa.int64()),
-                "suppkey": pa.array(sk, type=pa.int64()),
-                "natkey": batch["s_nationkey"].cast(pa.int64()),
-                "src": pa.array(np.zeros(len(sk), dtype=np.int8)),
-            }
-        )
-
     def line_side(batch: pa.Table) -> pa.Table:
         sk = np.unique(batch["l_suppkey"].to_numpy(zero_copy_only=False))
-        return pa.table(
-            {
-                "bucket": pa.array(sk % n_buckets, type=pa.int64()),
-                "suppkey": pa.array(sk, type=pa.int64()),
-                "natkey": pa.array(np.full(len(sk), -1, dtype=np.int64)),
-                "src": pa.array(np.ones(len(sk), dtype=np.int8)),
-            }
-        )
+        return pa.table({"l_suppkey": pa.array(sk, type=pa.int64())})
 
-    def bucket_semi(g: "pd.DataFrame") -> "pd.DataFrame":
-        is_supp = (g["src"] == 0).to_numpy()
-        supp = g[is_supp]
-        shipped = g["suppkey"].to_numpy()[~is_supp]
-        hit = np.isin(supp["suppkey"].to_numpy(), shipped)
-        if not hit.any():
-            return pd.DataFrame(
-                {
-                    "natkey": pd.Series([], dtype="int64"),
-                    "partial": pd.Series([], dtype="int64"),
-                }
-            )
-        vc = supp["natkey"][hit].value_counts()
+    def bucket_semi(f: dict):
+        supp = f["supp"]
+        if supp is None or f["line"] is None:
+            return None
+        hit = np.isin(supp["s_suppkey"], f["line"]["l_suppkey"])
+        vc = supp["s_nationkey"][hit].value_counts()
         return pd.DataFrame(
             {
                 "natkey": vc.index.to_numpy().astype(np.int64),
@@ -1052,16 +966,17 @@ def suppliers_with_shipments(sf_dir: str, n_buckets: int = 256) -> ray.data.Data
             }
         )
 
-    supp = read_table(
-        sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]
-    ).map_batches(supp_side, batch_format="pyarrow")
+    supp = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"])
     line = read_table(sf_dir, "lineitem", columns=["l_suppkey"]).map_batches(
         line_side, batch_format="pyarrow"
     )
     agg = (
-        supp.union(line)
-        .groupby("bucket")
-        .map_groups(bucket_semi, batch_format="pandas")
+        cogroup(
+            {"supp": supp, "line": line},
+            {"supp": "s_suppkey", "line": "l_suppkey"},
+            bucket_semi,
+            n_buckets=256,
+        )
         .groupby("natkey")
         .aggregate(Sum("partial", alias_name="n_suppliers"))
     )

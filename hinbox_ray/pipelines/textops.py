@@ -569,54 +569,20 @@ def _minhash_signatures(sf_dir: str) -> ray.data.Dataset:
     )
 
 
-def _attach_grams(
-    pairs_ds, sigs_ds, side: str, *, dedup: bool, n_buckets: int = 256
-) -> "ray.data.Dataset":
-    """Bucketed hash-partition co-group: fill grams_{a,b} for the pair
-    rows keyed by ``side`` (doc_a or doc_b). Both sides map onto
-    ``id % n_buckets`` so ONE sort-shuffle co-locates each bucket —
-    ~``n_buckets`` groups regardless of corpus size, NOT one group per
-    doc (whose ~0.4 ms fixed ``map_groups`` cost dominated this stage
-    at corpus scale) — and the per-bucket kernel is one vectorized
-    pandas merge. With ``dedup`` every pair (a, b) collapses to one
-    row; the dedup is global because the key's ``side`` component
-    determines the bucket. Avoids ``Dataset.join`` (seconds of fixed
-    cost per call; see stages/cogroup.py)."""
-    from ..stages.cogroup import bucket_exchange
+def _attach_grams(pairs_ds, sigs_ds, side: str, *, dedup: bool) -> "ray.data.Dataset":
+    """Fill grams_a or grams_b for the pair rows keyed by ``side``
+    (doc_a or doc_b): ``cogroup`` of the pairs and the signature table
+    on the doc id, one vectorized pandas merge per bucket. With
+    ``dedup`` every pair (a, b) collapses to one row; the dedup is
+    global because the ``side`` key determines the bucket."""
+    from ..stages.cogroup import cogroup
 
     gcol = "grams_a" if side == "doc_a" else "grams_b"
+    cols = ["doc_a", "doc_b", "grams_a", "grams_b"]
 
-    def tag_left(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_a": df["doc_a"].astype(np.int64).to_numpy(),
-                "doc_b": df["doc_b"].astype(np.int64).to_numpy(),
-                "_src": np.int8(0),
-            }
-        )
-        for c in ("grams_a", "grams_b"):
-            out[c] = df[c].to_numpy() if c in df.columns else b""
-        return out[["doc_a", "doc_b", "grams_a", "grams_b", "_src"]]
-
-    def tag_right(t: pa.Table) -> pd.DataFrame:
-        n = t.num_rows
-        ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        out = pd.DataFrame(
-            {
-                "doc_a": ids if side == "doc_a" else np.int64(-1),
-                "doc_b": ids if side == "doc_b" else np.int64(-1),
-                "_src": np.full(n, 1, dtype=np.int8),
-            }
-        )
-        blobs = t["grams"].to_pylist()
-        out["grams_a"] = blobs if side == "doc_a" else b""
-        out["grams_b"] = blobs if side == "doc_b" else b""
-        return out[["doc_a", "doc_b", "grams_a", "grams_b", "_src"]]
-
-    def resolve_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        maps = g[g["_src"] == 1]
-        rows = g[g["_src"] == 0]
-        if rows.empty or maps.empty:
+    def resolve_bucket(f: dict) -> pd.DataFrame:
+        rows, sigs = f["pairs"], f["sigs"]
+        if rows is None or sigs is None:
             return pd.DataFrame(
                 {
                     "doc_a": pd.Series(dtype=np.int64),
@@ -627,21 +593,20 @@ def _attach_grams(
             )
         if dedup:
             rows = rows.drop_duplicates(["doc_a", "doc_b"])
-        lut = maps[[side, gcol]].drop_duplicates(side)
-        rows = (
-            rows.drop(columns=["_src", "_gbucket", gcol])
-            .merge(lut, on=side, how="inner")
+        lut = sigs.drop_duplicates("doc_id").rename(
+            columns={"doc_id": side, "grams": gcol}
         )
-        return rows[["doc_a", "doc_b", "grams_a", "grams_b"]]
+        out = rows.drop(columns=[gcol], errors="ignore").merge(lut, on=side)
+        for c in cols:
+            if c not in out:
+                out[c] = b""
+        return out[cols]
 
-    left = pairs_ds.map_batches(tag_left, batch_format="pandas")
-    right = sigs_ds.select_columns(["doc_id", "grams"]).map_batches(
-        tag_right, batch_format="pyarrow"
-    )
-    return bucket_exchange(
-        left.union(right),
-        lambda df: df[side].to_numpy(np.int64) % n_buckets,
+    return cogroup(
+        {"pairs": pairs_ds, "sigs": sigs_ds.select_columns(["doc_id", "grams"])},
+        {"pairs": side, "sigs": "doc_id"},
         resolve_bucket,
+        n_buckets=256,
     )
 
 
@@ -1811,12 +1776,7 @@ def doc_jaccard_sample(
 
 
 
-def doc_jaccard_join(
-    sf_dir: str,
-    threshold_pct: int = 60,
-    *,
-    n_buckets: int = 512,
-) -> ray.data.Dataset:
+def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
     """EXACT set-similarity self-join via prefix filtering (AllPairs /
     PPJoin family — Bayardo et al. WWW'07, Vernica et al. SIGMOD'10):
     every document pair whose token-3-gram-shingle Jaccard is >=
@@ -1863,9 +1823,11 @@ def doc_jaccard_join(
         bucket_exchange,
         bucketed_drop_duplicates,
         bucketed_map_groups,
+        cogroup,
     )
 
     t_pct = int(threshold_pct)
+    n_buckets = 512
 
     def gram_blobs(batch: pa.Table) -> pa.Table:
         ids, blobs = [], []
@@ -2042,76 +2004,41 @@ def doc_jaccard_join(
         n_buckets=n_buckets,
     )
 
-    # verification: attach each side's shingle blob via doc-key
-    # co-groups (blob rows tagged kind=1; candidate rows kind=0)
-    def blob_keyed(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["doc_id"].to_numpy(dtype=np.int64),
-                "other": np.full(len(df), -1, dtype=np.int64),
-                "blob": df["grams"].to_numpy(),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
+    # verification: attach doc_a's shingle blob to each candidate, then
+    # co-group with doc_b's blob and verify (co-groups on the doc key)
+    def attach_a(f: dict):
+        if f["cands"] is None or f["blobs"] is None:
+            return None
+        return f["cands"].merge(
+            f["blobs"].rename(columns={"doc_id": "doc_a", "grams": "blob_a"}),
+            on="doc_a",
         )
 
-    def cand_keyed_a(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["doc_a"].to_numpy(dtype=np.int64),
-                "other": df["doc_b"].to_numpy(dtype=np.int64),
-                "blob": pd.Series([b""] * len(df), dtype=object),
-                "kind": np.zeros(len(df), dtype=np.int64),
-            }
-        )
-
-    def attach_a(g: pd.DataFrame) -> pd.DataFrame:
-        es = g[g["kind"] == 0]
-        ref = g.loc[g["kind"] == 1, "blob"]
-        if not len(es) or not len(ref):
-            return pd.DataFrame(
-                {
-                    "key": pd.Series([], dtype=np.int64),
-                    "other": pd.Series([], dtype=np.int64),
-                    "blob": pd.Series([], dtype=object),
-                    "kind": pd.Series([], dtype=np.int64),
-                }
-            )
-        blob = ref.iloc[0]
-        return pd.DataFrame(
-            {
-                # re-key on doc_b for the second attach; carry doc_a
-                "key": es["other"].to_numpy(dtype=np.int64),
-                "other": es["key"].to_numpy(dtype=np.int64),
-                "blob": pd.Series([blob] * len(es), dtype=object),
-                "kind": np.zeros(len(es), dtype=np.int64),
-            }
-        )
-
-    half = bucketed_map_groups(
-        rep_blobs.map_batches(blob_keyed, batch_format="pandas").union(
-            cands.map_batches(cand_keyed_a, batch_format="pandas")
-        ),
-        "key",
+    half = cogroup(
+        {"cands": cands, "blobs": rep_blobs},
+        {"cands": "doc_a", "blobs": "doc_id"},
         attach_a,
-        n_buckets=n_buckets,
     )
 
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        es = g[g["kind"] == 0]
-        ref = g.loc[g["kind"] == 1, "blob"]
+    def verify(f: dict) -> pd.DataFrame:
         out_a, out_b, out_i, out_sa, out_sb, out_j = [], [], [], [], [], []
-        if len(es) and len(ref):
-            b_set = np.frombuffer(ref.iloc[0], dtype=np.uint64)
-            doc_b = int(g["key"].iloc[0])
-            for doc_a, blob_a in zip(es["other"], es["blob"]):
+        if f["half"] is not None and f["blobs"] is not None:
+            es = f["half"].merge(
+                f["blobs"].rename(columns={"doc_id": "doc_b", "grams": "blob_b"}),
+                on="doc_b",
+            )
+            for doc_a, doc_b, blob_a, blob_b in zip(
+                es["doc_a"], es["doc_b"], es["blob_a"], es["blob_b"]
+            ):
                 a_set = np.frombuffer(blob_a, dtype=np.uint64)
+                b_set = np.frombuffer(blob_b, dtype=np.uint64)
                 i = int(
                     np.intersect1d(a_set, b_set, assume_unique=True).size
                 )
                 u = int(a_set.size + b_set.size - i)
                 if 100 * i >= t_pct * u:
                     out_a.append(int(doc_a))
-                    out_b.append(doc_b)
+                    out_b.append(int(doc_b))
                     out_i.append(i)
                     out_sa.append(int(a_set.size))
                     out_sb.append(int(b_set.size))
@@ -2127,130 +2054,56 @@ def doc_jaccard_join(
             }
         )
 
-    rep_pairs = bucketed_map_groups(
-        rep_blobs.map_batches(blob_keyed, batch_format="pandas").union(half),
-        "key",
+    rep_pairs = cogroup(
+        {"half": half, "blobs": rep_blobs},
+        {"half": "doc_b", "blobs": "doc_id"},
         verify,
-        n_buckets=n_buckets,
     )
 
     # ── expand rep-level pairs through cluster membership ─────────────
-    # (two co-group attaches on the rep key; fan-out = cluster sizes,
+    # (two co-group merges on the rep key; fan-out = cluster sizes,
     # i.e. output-bound)
-    def member_keyed(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["rep"].to_numpy(dtype=np.int64),
-                "member": df["member"].to_numpy(dtype=np.int64),
-                "kb": np.full(len(df), -1, dtype=np.int64),
-                "n_inter": np.zeros(len(df), dtype=np.int64),
-                "size_a": np.zeros(len(df), dtype=np.int64),
-                "size_b": np.zeros(len(df), dtype=np.int64),
-                "jac_e6": np.zeros(len(df), dtype=np.int64),
-                "kind": np.ones(len(df), dtype=np.int64),
-            }
+    def expand_a(f: dict):
+        if f["pairs"] is None or f["members"] is None:
+            return None
+        return f["pairs"].merge(
+            f["members"].rename(columns={"rep": "ka", "member": "member_a"}),
+            on="ka",
         )
 
-    def pair_keyed_a(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["ka"].to_numpy(dtype=np.int64),
-                "member": np.full(len(df), -1, dtype=np.int64),
-                "kb": df["kb"].to_numpy(dtype=np.int64),
-                "n_inter": df["n_inter"].to_numpy(dtype=np.int64),
-                "size_a": df["size_a"].to_numpy(dtype=np.int64),
-                "size_b": df["size_b"].to_numpy(dtype=np.int64),
-                "jac_e6": df["jac_e6"].to_numpy(dtype=np.int64),
-                "kind": np.zeros(len(df), dtype=np.int64),
-            }
-        )
-
-    def expand_a(g: pd.DataFrame) -> pd.DataFrame:
-        ps = g[g["kind"] == 0]
-        ms = g.loc[g["kind"] == 1, "member"].to_numpy(dtype=np.int64)
-        if not len(ps) or not ms.size:
-            return pd.DataFrame(
-                {
-                    c: pd.Series([], dtype=np.int64)
-                    for c in [
-                        "key",
-                        "member",
-                        "kb",
-                        "n_inter",
-                        "size_a",
-                        "size_b",
-                        "jac_e6",
-                        "kind",
-                    ]
-                }
-            )
-        n, m = len(ps), ms.size
-        rep = np.repeat(np.arange(n), m)
-        return pd.DataFrame(
-            {
-                # re-key on kb for the second expand; carry member_a
-                "key": ps["kb"].to_numpy(dtype=np.int64)[rep],
-                "member": np.tile(ms, n),
-                "kb": np.full(n * m, -1, dtype=np.int64),
-                "n_inter": ps["n_inter"].to_numpy(dtype=np.int64)[rep],
-                "size_a": ps["size_a"].to_numpy(dtype=np.int64)[rep],
-                "size_b": ps["size_b"].to_numpy(dtype=np.int64)[rep],
-                "jac_e6": ps["jac_e6"].to_numpy(dtype=np.int64)[rep],
-                "kind": np.zeros(n * m, dtype=np.int64),
-            }
-        )
-
-    half_exp = bucketed_map_groups(
-        members.map_batches(member_keyed, batch_format="pandas").union(
-            rep_pairs.map_batches(pair_keyed_a, batch_format="pandas")
-        ),
-        "key",
+    half_exp = cogroup(
+        {"pairs": rep_pairs, "members": members},
+        {"pairs": "ka", "members": "rep"},
         expand_a,
-        n_buckets=n_buckets,
     )
 
-    def expand_b(g: pd.DataFrame) -> pd.DataFrame:
-        ps = g[g["kind"] == 0]
-        ms = g.loc[g["kind"] == 1, "member"].to_numpy(dtype=np.int64)
-        if not len(ps) or not ms.size:
-            return pd.DataFrame(
-                {
-                    c: pd.Series([], dtype=np.int64)
-                    for c in [
-                        "doc_a",
-                        "doc_b",
-                        "n_inter",
-                        "size_a",
-                        "size_b",
-                        "jac_e6",
-                    ]
-                }
-            )
-        n, m = len(ps), ms.size
-        rep = np.repeat(np.arange(n), m)
-        a = ps["member"].to_numpy(dtype=np.int64)[rep]
-        b = np.tile(ms, n)
-        sa = ps["size_a"].to_numpy(dtype=np.int64)[rep]
-        sb = ps["size_b"].to_numpy(dtype=np.int64)[rep]
+    def expand_b(f: dict):
+        if f["pairs"] is None or f["members"] is None:
+            return None
+        m = f["pairs"].merge(
+            f["members"].rename(columns={"rep": "kb", "member": "member_b"}),
+            on="kb",
+        )
+        a = m["member_a"].to_numpy(np.int64)
+        b = m["member_b"].to_numpy(np.int64)
+        sa = m["size_a"].to_numpy(np.int64)
+        sb = m["size_b"].to_numpy(np.int64)
         flip = a > b
         return pd.DataFrame(
             {
                 "doc_a": np.where(flip, b, a),
                 "doc_b": np.where(flip, a, b),
-                "n_inter": ps["n_inter"].to_numpy(dtype=np.int64)[rep],
+                "n_inter": m["n_inter"].to_numpy(np.int64),
                 "size_a": np.where(flip, sb, sa),
                 "size_b": np.where(flip, sa, sb),
-                "jac_e6": ps["jac_e6"].to_numpy(dtype=np.int64)[rep],
+                "jac_e6": m["jac_e6"].to_numpy(np.int64),
             }
         )
 
-    cross = bucketed_map_groups(
-        members.map_batches(member_keyed, batch_format="pandas").union(
-            half_exp
-        ),
-        "key",
+    cross = cogroup(
+        {"pairs": half_exp, "members": members},
+        {"pairs": "kb", "members": "rep"},
         expand_b,
-        n_buckets=n_buckets,
     )
 
     # well-typed even when empty (schema comparison needs columns)
@@ -2640,9 +2493,7 @@ def doc_pack_sequences(
 # Corpus-level duplicated-span removal (CCNet-style paragraph/line dedup)
 
 
-def doc_chunk_dedup(
-    sf_dir: str, chunk: int = 8, n_buckets: int = 512
-) -> ray.data.Dataset:
+def doc_chunk_dedup(sf_dir: str, chunk: int = 8) -> ray.data.Dataset:
     """Corpus-level duplicated-span dedup over fixed token chunks.
 
     The CCNet / RefinedWeb "paragraph dedup" pass: segment every
@@ -2663,6 +2514,7 @@ def doc_chunk_dedup(
     per-doc re-aggregation shuffles partials on ``doc_id % n_buckets``.
     Both shuffles carry O(corpus tokens / chunk) fixed-width rows.
     """
+    n_buckets = 512
     M = (1 << 61) - 1
 
     def explode(batch: pa.Table) -> pd.DataFrame:
@@ -2750,9 +2602,7 @@ def doc_chunk_dedup(
 # Boilerplate n-gram detection (Gopher/RefinedWeb-style repeated spans)
 
 
-def doc_repeated_ngrams(
-    sf_dir: str, n: int = 3, min_docs: int = 5, n_buckets: int = 512
-) -> ray.data.Dataset:
+def doc_repeated_ngrams(sf_dir: str, n: int = 3, min_docs: int = 5) -> ray.data.Dataset:
     """Token n-grams shared by ≥ ``min_docs`` distinct documents.
 
     The boilerplate-detection primitive behind Gopher/RefinedWeb-style
@@ -2767,6 +2617,7 @@ def doc_repeated_ngrams(
     ``gram_h % n_buckets`` and a vectorized pandas sum finishes each
     bucket. The exchange carries O(distinct grams per block) rows.
     """
+    n_buckets = 512
 
     def explode(batch: pa.Table) -> pd.DataFrame:
         counts: dict = {}
@@ -2816,7 +2667,7 @@ def doc_repeated_ngrams(
 # TF-IDF top term per document (all-integer idf, oracle-exact)
 
 
-def doc_tfidf_top_terms(sf_dir: str, n_buckets: int = 512) -> ray.data.Dataset:
+def doc_tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
     """Highest-TF-IDF token per document.
 
     The keyword-extraction primitive of a corpus profiler: tf(doc,
@@ -2836,6 +2687,10 @@ def doc_tfidf_top_terms(sf_dir: str, n_buckets: int = 512) -> ray.data.Dataset:
     (a driver-side scalar, exact and free).
     """
     import pyarrow.parquet as pq_meta
+
+    from ..stages.cogroup import cogroup
+
+    n_buckets = 512
 
     n_total = pq_meta.read_metadata(
         os.path.join(sf_dir, "documents.parquet")
@@ -3162,9 +3017,7 @@ def pages_extract_text_planted(sf_dir: str) -> ray.data.Dataset:
 # End-to-end near-dup clustering (pairs → components → keeper election)
 
 
-def doc_neardup_clusters(
-    sf_dir: str, threshold: float = 0.5, n_buckets: int = 512
-) -> ray.data.Dataset:
+def doc_neardup_clusters(sf_dir: str, threshold: float = 0.5) -> ray.data.Dataset:
     """The complete corpus near-dedup decision: which doc survives.
 
     Composes the toolbox end to end — MinHash-LSH verified pairs
@@ -3176,13 +3029,14 @@ def doc_neardup_clusters(
 
     Scale plan: pairs are the LSH output (near-linear); CC shuffles
     only (u, v) int64 edges with the early-driver-finish hybrid; the
-    cluster-id attach is ONE bucketed co-group on
-    ``doc_id % n_buckets`` (the component map is corpus-scale in the
-    worst case, so it is never collected or broadcast). The DuckDB
+    cluster-id attach is ONE ``cogroup`` on doc_id (the component map
+    is corpus-scale in the worst case, so it is never collected or
+    broadcast). The DuckDB
     oracle recomputes clusters independently via a recursive-CTE
     transitive closure over the exact-Jaccard pair set.
     """
     from ..stages.cc import connected_components
+    from ..stages.cogroup import cogroup
 
     pairs = doc_minhash_neardup(sf_dir, threshold)
 
@@ -3198,67 +3052,32 @@ def doc_neardup_clusters(
         pairs.map_batches(to_edges, batch_format="pandas")
     )
 
-    def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype(np.int64),
-                "component": pd.Series(
-                    np.full(len(df), -1, dtype=np.int64)
-                ),
-                "_src": pd.Series(np.zeros(len(df), dtype=np.int8)),
-            }
-        )
-        out["_gbucket"] = (
-            out["doc_id"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return out
-
-    def tag_comp(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_id": df["node_id"].astype(np.int64),
-                "component": df["component"].astype(np.int64),
-                "_src": pd.Series(np.ones(len(df), dtype=np.int8)),
-            }
-        )
-        out["_gbucket"] = (
-            out["doc_id"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return out
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        maps = g[g["_src"] == 1][["doc_id", "component"]].drop_duplicates(
-            "doc_id"
-        )
-        rows = g[g["_src"] == 0]
-        did = rows["doc_id"].astype(np.int64).to_numpy()
-        if maps.empty:
-            cluster = did
-        else:
+    def resolve(f: dict):
+        if f["docs"] is None:
+            return None
+        did = f["docs"]["doc_id"].to_numpy(np.int64)
+        cluster = did
+        if f["comps"] is not None:
             # int-exact left lookup (merge+fillna would round-trip the
             # int64 cluster id through float64 — see attach_component)
-            idx = pd.Index(maps["doc_id"].astype(np.int64).to_numpy())
-            pos = idx.get_indexer(did)
-            comp = maps["component"].astype(np.int64).to_numpy()
+            maps = f["comps"].drop_duplicates("node_id")
+            pos = pd.Index(maps["node_id"].to_numpy(np.int64)).get_indexer(did)
+            comp = maps["component"].to_numpy(np.int64)
             cluster = np.where(pos >= 0, comp[np.maximum(pos, 0)], did)
         return pd.DataFrame(
             {
-                "doc_id": pd.Series(did, dtype=np.int64),
-                "cluster_id": pd.Series(cluster, dtype=np.int64),
-                "keep": pd.Series(
-                    (cluster == did).astype(np.int64), dtype=np.int64
-                ),
+                "doc_id": did,
+                "cluster_id": cluster,
+                "keep": (cluster == did).astype(np.int64),
             }
         )
 
     docs = _read(sf_dir, "documents", columns=["doc_id"])
-    return (
-        docs.map_batches(tag_docs, batch_format="pandas")
-        .union(comps.map_batches(tag_comp, batch_format="pandas"))
-        .groupby("_gbucket")
-        .map_groups(resolve, batch_format="pandas")
-        .sort("doc_id")
-    )
+    return cogroup(
+        {"docs": docs, "comps": comps},
+        {"docs": "doc_id", "comps": "node_id"},
+        resolve,
+    ).sort("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -3554,7 +3373,7 @@ def doc_embed_kmeans(
 # Corpus-trained bigram LM surprise (CCNet-style perplexity filter shape)
 
 
-def doc_lm_surprise(sf_dir: str, n_buckets: int = 512) -> ray.data.Dataset:
+def doc_lm_surprise(sf_dir: str) -> ray.data.Dataset:
     """Per-doc surprise under a corpus-trained bigram count model.
 
     The shape of CCNet's KenLM perplexity filter with the LM trained on
@@ -3571,8 +3390,12 @@ def doc_lm_surprise(sf_dir: str, n_buckets: int = 512) -> ray.data.Dataset:
     ONE co-group on ``hb % n_buckets`` (every occurrence of a bigram
     co-locates, so the bucket kernel counts and joins in place);
     likewise the prefix-unigram count on ``h1 % n_buckets``; the
-    per-doc fold shuffles integer partials on ``doc_id % n_buckets``.
+    per-doc fold is a ``cogroup`` of the docs and the integer partials
+    on doc_id.
     """
+    from ..stages.cogroup import cogroup
+
+    n_buckets = 512
 
     def explode(batch: pa.Table) -> pd.DataFrame:
         doc_ids, h1s, hbs, ms = [], [], [], []
@@ -3625,22 +3448,17 @@ def doc_lm_surprise(sf_dir: str, n_buckets: int = 512) -> ray.data.Dataset:
         surprise = m * (
             (cu.astype(np.int64) * 1000) // g["cb"].to_numpy()
         )
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].to_numpy(),
                 "n_bigrams": m,
                 "surprise_total": surprise.astype(np.int64),
             }
         )
-        out["_db"] = (
-            out["doc_id"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return out
 
-    # The per-doc fold and the short-doc join-back both key on
-    # doc_id % n_buckets — ONE shuffle, not two: union the zero-row doc
-    # side with the surprise partials and do the sum + fill in a single
-    # bucket kernel.
+    # The per-doc fold and the short-doc join-back are ONE co-group on
+    # doc_id: each bucket sums its partials per doc and looks them up
+    # for every doc, zero for docs without bigrams.
     partials = (
         _read(sf_dir, "documents", columns=["doc_id", "text"])
         .map_batches(explode, batch_format="pyarrow")
@@ -3650,46 +3468,31 @@ def doc_lm_surprise(sf_dir: str, n_buckets: int = 512) -> ray.data.Dataset:
         .map_groups(attach_prefix_count, batch_format="pandas")
     )
 
-    def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype(np.int64),
-                "n_bigrams": pd.Series(np.zeros(len(df), dtype=np.int64)),
-                "surprise_total": pd.Series(
-                    np.zeros(len(df), dtype=np.int64)
-                ),
-            }
-        )
-        out["_db"] = (
-            out["doc_id"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return out
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.drop(columns=["_db"]).groupby(
-            "doc_id", as_index=False, sort=True
-        ).sum()
-        nb = tot["n_bigrams"].to_numpy(dtype=np.int64)
-        st = tot["surprise_total"].to_numpy(dtype=np.int64)
+    def fold(f: dict):
+        if f["docs"] is None:
+            return None
+        did = f["docs"]["doc_id"].to_numpy(np.int64)
+        nb = np.zeros(len(did), dtype=np.int64)
+        st = np.zeros(len(did), dtype=np.int64)
+        if f["parts"] is not None:
+            tot = f["parts"].groupby("doc_id")[["n_bigrams", "surprise_total"]].sum()
+            pos = tot.index.get_indexer(did)
+            hit = pos >= 0
+            nb[hit] = tot["n_bigrams"].to_numpy(np.int64)[pos[hit]]
+            st[hit] = tot["surprise_total"].to_numpy(np.int64)[pos[hit]]
         return pd.DataFrame(
             {
-                "doc_id": tot["doc_id"].astype(np.int64),
+                "doc_id": did,
                 "n_bigrams": nb,
                 "surprise_total": st,
-                "surprise_avg_milli": np.where(
-                    nb > 0, st // np.maximum(nb, 1), 0
-                ),
+                "surprise_avg_milli": np.where(nb > 0, st // np.maximum(nb, 1), 0),
             }
         )
 
     docs = _read(sf_dir, "documents", columns=["doc_id"])
-    return (
-        docs.map_batches(tag_docs, batch_format="pandas")
-        .union(partials)
-        .groupby("_db")
-        .map_groups(fold, batch_format="pandas")
-        .sort("doc_id")
-    )
+    return cogroup(
+        {"docs": docs, "parts": partials}, "doc_id", fold
+    ).sort("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -3870,9 +3673,7 @@ def doc_topk_per_source(sf_dir: str, k: int = 5) -> ray.data.Dataset:
 # Exact duplicated-span statistics (Lee et al. 2021 substring-dedup shape)
 
 
-def doc_dup_span_stats(
-    sf_dir: str, window: int = 8, n_buckets: int = 512
-) -> ray.data.Dataset:
+def doc_dup_span_stats(sf_dir: str, window: int = 8) -> ray.data.Dataset:
     """Per-doc duplicated-span statistics over OVERLAPPING token windows.
 
     The measurement half of exact substring dedup ("Deduplicating
@@ -3890,6 +3691,7 @@ def doc_dup_span_stats(
     attach are ONE co-group on ``h % n_buckets``; the per-doc fold
     shuffles integer partials on ``doc_id % n_buckets``.
     """
+    n_buckets = 512
 
     def explode(batch: pa.Table) -> pd.DataFrame:
         doc_ids, hs, wins = [], [], []
@@ -3969,9 +3771,7 @@ def doc_dup_span_stats(
 # Incremental-ingest dedup (daily-crawl increment vs existing corpus)
 
 
-def doc_incremental_dedup(
-    sf_dir: str, new_mod: int = 5, n_buckets: int = 512
-) -> ray.data.Dataset:
+def doc_incremental_dedup(sf_dir: str, new_mod: int = 5) -> ray.data.Dataset:
     """Dedup an incoming increment against the existing corpus.
 
     The daily-ingest shape: the corpus is split into EXISTING docs and
@@ -3999,6 +3799,7 @@ def doc_incremental_dedup(
     the kernel resolves presence + first-copy in one vectorized pass.
     No text leaves the map stage.
     """
+    n_buckets = 512
 
     def sides(batch: pa.Table) -> pd.DataFrame:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -4081,9 +3882,7 @@ def doc_incremental_dedup(
 # Cluster labeling: top TF-IDF term per k-means cluster
 
 
-def doc_cluster_top_terms(
-    sf_dir: str, n_buckets: int = 512
-) -> ray.data.Dataset:
+def doc_cluster_top_terms(sf_dir: str) -> ray.data.Dataset:
     """Label each k-means cluster with its highest-TF-IDF token.
 
     The corpus-exploration composition: ``doc_embed_kmeans`` assigns
@@ -4093,15 +3892,19 @@ def doc_cluster_top_terms(
     integer idf; ties → smaller token hash). Emits (cluster, term_h,
     cluster_tf, df, score).
 
-    Scale plan: cluster attach is one co-group on ``doc_id %
-    n_buckets`` (assignment rows and tf rows co-locate; no broadcast —
-    the assignment is corpus-scale); df count, per-(cluster, term)
+    Scale plan: cluster attach is one ``cogroup`` on doc_id
+    (assignment rows and tf rows co-locate; no broadcast — the
+    assignment is corpus-scale); df count, per-(cluster, term)
     totals AND the per-cluster local argmax all happen inside ONE
     co-group on ``term_h % n_buckets`` (every row of a term co-locates,
     so its (cluster, term) totals are complete in-bucket), leaving ≤
     buckets × k candidate rows for a single-task final argmax.
     """
     import pyarrow.parquet as pq_meta
+
+    from ..stages.cogroup import cogroup
+
+    n_buckets = 512
 
     n_total = pq_meta.read_metadata(
         os.path.join(sf_dir, "documents.parquet")
@@ -4125,43 +3928,16 @@ def doc_cluster_top_terms(
                     )
                 )
                 tfs.append(c)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": pd.Series(doc_ids, dtype=np.int64),
                 "term_h": pd.Series(hs, dtype=np.uint64),
                 "tf": pd.Series(tfs, dtype=np.int64),
-                "cluster": pd.Series(
-                    np.full(len(doc_ids), -1, dtype=np.int64)
-                ),
             }
         )
-        df["_db"] = (
-            df["doc_id"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return df
 
-    def tag_asg(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype(np.int64),
-                "term_h": pd.Series(
-                    np.zeros(len(df), dtype=np.uint64), dtype=np.uint64
-                ),
-                "tf": pd.Series(np.zeros(len(df), dtype=np.int64)),
-                "cluster": df["cluster"].astype(np.int64),
-            }
-        )
-        out["_db"] = (
-            out["doc_id"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return out
-
-    def attach_cluster(g: pd.DataFrame) -> pd.DataFrame:
-        amap = g[g["cluster"] >= 0][["doc_id", "cluster"]].drop_duplicates(
-            "doc_id"
-        )
-        rows = g[g["cluster"] < 0]
-        if rows.empty:
+    def attach_cluster(f: dict) -> pd.DataFrame:
+        if f["tf"] is None or f["asg"] is None:
             return pd.DataFrame(
                 {
                     "term_h": pd.Series([], dtype=np.uint64),
@@ -4170,16 +3946,8 @@ def doc_cluster_top_terms(
                     "_tb": pd.Series([], dtype=np.int64),
                 }
             )
-        idx = pd.Index(amap["doc_id"].to_numpy())
-        pos = idx.get_indexer(rows["doc_id"].to_numpy())
-        cl = amap["cluster"].to_numpy()[np.maximum(pos, 0)]
-        out = pd.DataFrame(
-            {
-                "term_h": rows["term_h"].to_numpy(dtype=np.uint64),
-                "tf": rows["tf"].to_numpy(dtype=np.int64),
-                "cluster": cl.astype(np.int64),
-            }
-        )
+        amap = f["asg"][["doc_id", "cluster"]].drop_duplicates("doc_id")
+        out = f["tf"].merge(amap, on="doc_id")[["term_h", "tf", "cluster"]]
         out["_tb"] = (out["term_h"] % np.uint64(n_buckets)).astype(np.int64)
         return out
 
@@ -4230,10 +3998,11 @@ def doc_cluster_top_terms(
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     return (
-        docs.map_batches(tf_rows, batch_format="pyarrow")
-        .union(asg.map_batches(tag_asg, batch_format="pandas"))
-        .groupby("_db")
-        .map_groups(attach_cluster, batch_format="pandas")
+        cogroup(
+            {"tf": docs.map_batches(tf_rows, batch_format="pyarrow"), "asg": asg},
+            "doc_id",
+            attach_cluster,
+        )
         .groupby("_tb")
         .map_groups(per_term_bucket, batch_format="pandas")
         .repartition(1)
@@ -4383,7 +4152,7 @@ def doc_bloom_decontaminate(
 # Inverted-index build (term -> df, total tf, sorted postings)
 
 
-def doc_inverted_index(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
+def doc_inverted_index(sf_dir: str) -> ray.data.Dataset:
     """Build a corpus inverted index: per term, document frequency,
     total term frequency and the comma-joined sorted doc-id postings
     list — the search/retrieval-side primitive of a corpus engine.
@@ -4400,6 +4169,7 @@ def doc_inverted_index(sf_dir: str, n_buckets: int = 256) -> ray.data.Dataset:
     pass. Postings are ordered by doc_id inside the bucket kernel,
     making the output byte-deterministic.
     """
+    n_buckets = 256
 
     def tf_rows(batch: pa.Table) -> pd.DataFrame:
         doc_ids: list = []

@@ -8,9 +8,11 @@ whole per-side bucket frames. Sides keep their own schemas. They are
 not ``union``-ed as rows: on Ray 2.49.2 a ``union`` of two sides with
 different columns runs, but Ray concatenates the blocks through pandas
 and casts the other side's int64 column to float64, so the values
-2^62+0 … 2^62+5 all came back as 4.611686018427388e18. The attaches
-(``attach_component``, ``attach_entity_id``) and the graph queries
-(``pipelines/graph.py``) go through it. It does not use
+2^62+0 … 2^62+5 all came back as 4.611686018427388e18. Every
+two-sided co-group in the package goes through it (the attaches here,
+the graph queries, the textops joins, the TPC-H joins, the memo,
+grounding, profiles and the KG increment diff); this module is the only
+one that tags, buckets and ships sides. It does not use
 ``Dataset.join`` for cost: measured on Ray 2.49.2 (4 cpus), a join
 took 3.6–5.2 s per call at every size from 19 to 50k rows, the
 bucketed co-group 0.14–2.5 s.
@@ -62,10 +64,10 @@ def key_buckets(df: pd.DataFrame, key_cols, n_buckets: int) -> np.ndarray:
 
 
 def bucket_exchange(ds, bucket_of, kernel):
-    """One sort-shuffle co-group: coalesce ``ds`` by rows (module
+    """One-sided sort-shuffle grouping: coalesce ``ds`` by rows (module
     docstring), tag each row with ``_gbucket = bucket_of(frame)`` and
-    run ``kernel`` once per bucket frame. Callers union their tagged
-    sides first, so the exchange sees ⌈rows/COALESCE_ROWS⌉ blocks."""
+    run ``kernel`` once per bucket frame; the exchange sees
+    ⌈rows/COALESCE_ROWS⌉ blocks."""
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -262,7 +264,7 @@ RAW_COLS = [
 ]
 
 
-def attach_component(raw_ds, comps_ds, *, n_buckets: int = 512):
+def attach_component(raw_ds, comps_ds):
     """raw(node_id, ...) ⟕ comps(node_id, component) via ``cogroup`` on
     node_id, then a vectorized lookup per bucket.
 
@@ -293,7 +295,6 @@ def attach_component(raw_ds, comps_ds, *, n_buckets: int = 512):
         {"raw": raw_ds, "comps": comps_ds},
         "node_id",
         resolve_bucket,
-        n_buckets=n_buckets,
     )
 
 

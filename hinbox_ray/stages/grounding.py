@@ -86,34 +86,9 @@ def verify_claims(claims_ds, docs_ds):
     The doc text stays inside its group (never re-shipped per claim
     consumer); claims for unknown articles get MISSING_SOURCE."""
 
-    def tag_claims(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "article_id": df["article_id"].astype(str),
-                "entity_id": df["entity_id"].astype(str),
-                "profile_hash": df["profile_hash"].astype(str),
-                "claim": df["claim"].astype(str),
-                "text": "",
-                "_src": np.int8(0),
-            }
-        )
-
-    def tag_docs(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "article_id": df["url"].astype(str),
-                "entity_id": "",
-                "profile_hash": "",
-                "claim": "",
-                "text": df["text"].astype(str),
-                "_src": np.int8(1),
-            }
-        )
-
-    def resolve(g: pd.DataFrame) -> pd.DataFrame:
-        claims = g[g["_src"] == 0]
-        docs = g[g["_src"] == 1]
-        if claims.empty:
+    def resolve(f: dict) -> pd.DataFrame:
+        claims, docs = f["claims"], f["docs"]
+        if claims is None:
             return pd.DataFrame(
                 {
                     "entity_id": pd.Series(dtype=object),
@@ -121,26 +96,38 @@ def verify_claims(claims_ds, docs_ds):
                     "support": pd.Series(dtype=object),
                 }
             )
-        text = str(docs["text"].iloc[0]) if len(docs) else None
+        texts = [None] * len(claims)
+        if docs is not None:
+            docs = docs.drop_duplicates("url")
+            pos = pd.Index(docs["url"]).get_indexer(claims["article_id"])
+            doc_text = docs["text"].to_numpy()
+            texts = [doc_text[p] if p >= 0 else None for p in pos]
         support = [
-            support_by_substring(c, text) if text is not None else MISSING_SOURCE
-            for c in claims["claim"]
+            support_by_substring(str(c), str(t)) if t is not None else MISSING_SOURCE
+            for c, t in zip(claims["claim"], texts)
         ]
         return pd.DataFrame(
             {
-                "entity_id": claims["entity_id"].to_numpy(),
-                "profile_hash": claims["profile_hash"].to_numpy(),
+                "entity_id": claims["entity_id"].astype(str).to_numpy(),
+                "profile_hash": claims["profile_hash"].astype(str).to_numpy(),
                 "support": support,
             }
         )
 
-    from .cogroup import bucketed_map_groups
+    from .cogroup import cogroup
 
-    left = claims_ds.map_batches(tag_claims, batch_format="pandas")
-    right = docs_ds.map_batches(tag_docs, batch_format="pandas")
-    # article ids are corpus-scale: bucketed grouping (see
-    # cogroup.bucketed_map_groups), per-article verify inside the bucket
-    return bucketed_map_groups(left.union(right), "article_id", resolve)
+    # article ids are corpus-scale: per-bucket verify, never one Ray
+    # group per article
+    return cogroup(
+        {
+            "claims": claims_ds.select_columns(
+                ["article_id", "entity_id", "profile_hash", "claim"]
+            ),
+            "docs": docs_ds.select_columns(["url", "text"]),
+        },
+        {"claims": "article_id", "docs": "url"},
+        resolve,
+    )
 
 
 def _fold_reports(g: pd.DataFrame, min_grounding_score: float) -> pd.DataFrame:

@@ -218,36 +218,10 @@ def entity_profiles(
     articles = _article_lists(mentions_ds, nmap_df, max_versions)
 
     # co-group entities ⟕ article lists on entity_id (both vocab-scale);
-    # union-tag pattern, not Dataset.join: stages/cogroup.py gives the
-    # measured join latency
-    def tag_ent(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "entity_id": df["entity_id"].astype(str),
-                "entity_type": df["entity_type"].astype(str),
-                "name": df["name"].astype(str),
-                "attr_type": df["attr_type"].astype(str),
-                "urls": "",
-                "_src": np.int8(0),
-            }
-        )
-
-    def tag_art(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "entity_id": df["entity_id"].astype(str),
-                "entity_type": "",
-                "name": "",
-                "attr_type": "",
-                "urls": df["urls"].astype(str),
-                "_src": np.int8(1),
-            }
-        )
-
-    def build(g: pd.DataFrame) -> pd.DataFrame:
-        ents = g[g["_src"] == 0]
-        arts = g[g["_src"] == 1]
-        if ents.empty:
+    # stages/cogroup.py gives the measured Dataset.join latency
+    def build(f: dict) -> pd.DataFrame:
+        ents, arts = f["ents"], f["arts"]
+        if ents is None:
             return pd.DataFrame(
                 {
                     "entity_id": pd.Series(dtype=object),
@@ -263,49 +237,61 @@ def entity_profiles(
                     "reflection_attempts": pd.Series(dtype=np.int64),
                 }
             )
-        e = ents.iloc[0]
-        urls = [
-            u
-            for u in (arts["urls"].iloc[0].split(ALIAS_SEP) if len(arts) else [])
-            if u
-        ]
-        vp = build_versions(
-            str(e["name"]),
-            str(e["entity_type"]),
-            str(e["attr_type"]),
-            urls,
-            profile_fn=profile_fn,
-            reflector=reflector,
-            max_iterations=max_iterations,
+        urls_of = (
+            {}
+            if arts is None
+            else arts.drop_duplicates("entity_id").set_index("entity_id")["urls"]
         )
-        cur = (
-            vp["versions"][-1]["profile"]
-            if vp["versions"]
-            else profile_kernel(str(e["name"]), str(e["entity_type"]), str(e["attr_type"]), [])
-        )
-        return pd.DataFrame(
-            {
-                "entity_id": [str(e["entity_id"])],
-                "entity_type": [str(e["entity_type"])],
-                "name": [str(e["name"])],
-                "profile_text": [cur["text"]],
-                "confidence_e2": [np.int64(round(cur["confidence"] * 100))],
-                "n_sources": [np.int64(len(urls))],
-                "current_version": [np.int64(vp["current_version"])],
-                "sources": [ALIAS_SEP.join(urls)],
-                "profile_hash": [sha256_hex(cur["text"])],
-                "versions_json": [json.dumps(vp, sort_keys=True)],
-                "reflection_attempts": [
-                    np.int64(vp["reflection"]["total_attempts"])
-                ],
-            }
-        )
+        rows = []
+        ents = ents.drop_duplicates("entity_id").sort_values("entity_id")
+        for e in ents.astype(str).itertuples(index=False):
+            eid, etype, name, attr = e.entity_id, e.entity_type, e.name, e.attr_type
+            urls = [u for u in str(urls_of.get(eid, "")).split(ALIAS_SEP) if u]
+            vp = build_versions(
+                name,
+                etype,
+                attr,
+                urls,
+                profile_fn=profile_fn,
+                reflector=reflector,
+                max_iterations=max_iterations,
+            )
+            cur = (
+                vp["versions"][-1]["profile"]
+                if vp["versions"]
+                else profile_kernel(name, etype, attr, [])
+            )
+            rows.append(
+                {
+                    "entity_id": eid,
+                    "entity_type": etype,
+                    "name": name,
+                    "profile_text": cur["text"],
+                    "confidence_e2": np.int64(round(cur["confidence"] * 100)),
+                    "n_sources": np.int64(len(urls)),
+                    "current_version": np.int64(vp["current_version"]),
+                    "sources": ALIAS_SEP.join(urls),
+                    "profile_hash": sha256_hex(cur["text"]),
+                    "versions_json": json.dumps(vp, sort_keys=True),
+                    "reflection_attempts": np.int64(
+                        vp["reflection"]["total_attempts"]
+                    ),
+                }
+            )
+        return pd.DataFrame(rows)
 
-    from .cogroup import bucketed_map_groups
+    from .cogroup import cogroup
 
-    left = entities_ds.map_batches(tag_ent, batch_format="pandas")
-    right = articles.map_batches(tag_art, batch_format="pandas")
-    return bucketed_map_groups(left.union(right), "entity_id", build)
+    return cogroup(
+        {
+            "ents": entities_ds.select_columns(
+                ["entity_id", "entity_type", "name", "attr_type"]
+            ),
+            "arts": articles,
+        },
+        "entity_id",
+        build,
+    )
 
 
 def reflection_stats(profiles_ds) -> Dict:

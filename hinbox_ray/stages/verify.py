@@ -128,14 +128,9 @@ def candidate_pairs_with_meta(raw_entities_ds, cfg: Optional[DomainConfig] = Non
     return candidate_pairs(raw_entities_ds, cfg)
 
 
-def verify_pairs(
-    pairs_ds,
-    cfg: Optional[DomainConfig] = None,
-    *,
-    concurrency=2,
-    verifier_cls=None,
-):
-    """Run the verifier actor pool over candidate pairs.
+def verify_pairs(pairs_ds, cfg: Optional[DomainConfig] = None, *, verifier_cls=None):
+    """Run the verifier actor pool over candidate pairs: an autoscaling
+    pool of 1–2 actors, so an input of one block starts one actor.
 
     ``verifier_cls`` swaps the decision model (an LLM-backed checker in
     a real deployment; a forced-verdict stub in tests)."""
@@ -144,7 +139,7 @@ def verify_pairs(
         fn_constructor_kwargs={"cfg": cfg},
         batch_format="pyarrow",
         batch_size=1024,
-        concurrency=concurrency,
+        concurrency=(1, 2),
         num_cpus=1,
     )
 

@@ -16,12 +16,12 @@ Ray-native layout (``memo_dir/``):
 - ``data/*.parquet``   — memo_key + the mention schema: the memoized
   extractor output, replayed for hits.
 
-Both the hit/miss split and the replay are sort-shuffle co-groups on
-``hash(memo_key) % 512`` buckets (see stages/cogroup.py for why not
-``Dataset.join``, and for the bucketed-grouping invariant: one Ray
-group per *document* key would make the fixed per-group cost dominate
-the very resume the memo exists to accelerate) — no driver-side key
-set, so the memo can be corpus-scale. Writes are tmp + ``os.replace``
+The hit/miss split, the index counts and the replay are ``cogroup``
+exchanges on memo_key or url (see stages/cogroup.py for why not
+``Dataset.join``; one Ray group per *document* key would make the
+fixed per-group cost dominate the very resume the memo exists to
+accelerate) — no driver-side key set, so the memo can be
+corpus-scale. Writes are tmp + ``os.replace``
 (atomic), mirroring the reference's sidecar.
 
 Replay semantics mirror the reference's reattach
@@ -133,9 +133,7 @@ def extract_with_memo(
 
     idx_files = _list_parquet(os.path.join(memo_dir, "index"))
 
-    from ..stages.cogroup import key_buckets
-
-    n_buckets = 512
+    from ..stages.cogroup import cogroup
 
     if not idx_files:
         misses = keyed
@@ -143,54 +141,32 @@ def extract_with_memo(
     else:
         index = rd.read_parquet(idx_files, columns=["memo_key"])
 
-        def tag_doc(df: pd.DataFrame) -> pd.DataFrame:
-            out = df[["memo_key", "url", "warc_ts", "text"]].copy()
-            out["_src"] = np.int8(0)
-            out["_gbucket"] = key_buckets(out, ["memo_key"], n_buckets)
-            return out
-
-        def tag_idx(df: pd.DataFrame) -> pd.DataFrame:
-            out = pd.DataFrame(
-                {
-                    "memo_key": df["memo_key"].astype(str),
-                    "url": "",
-                    "warc_ts": pd.NaT,
-                    "text": "",
-                    "_src": np.int8(1),
-                }
-            )
-            out["_gbucket"] = key_buckets(out, ["memo_key"], n_buckets)
-            return out
-
-        def split_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        def split_bucket(f: dict):
             # one vectorized isin per bucket — never one Ray group per doc
-            docs = g[g["_src"] == 0]
-            if docs.empty:  # bucket holds only memo entries, no run docs
-                return pd.DataFrame(
-                    {
-                        "memo_key": pd.Series(dtype=object),
-                        "url": pd.Series(dtype=object),
-                        "warc_ts": pd.Series(dtype="datetime64[us]"),
-                        "text": pd.Series(dtype=object),
-                        "_hit": pd.Series(dtype=np.int8),
-                    }
-                )
-            idx_keys = g.loc[g["_src"] == 1, "memo_key"].unique()
-            out = docs.drop(columns=["_src", "_gbucket"]).copy()
-            hit = out["memo_key"].isin(idx_keys).to_numpy()
+            if f["docs"] is None:  # bucket holds only memo entries
+                return None
+            out = f["docs"]
+            hit = (
+                out["memo_key"].isin(f["index"]["memo_key"]).to_numpy()
+                if f["index"] is not None
+                else np.zeros(len(out), dtype=bool)
+            )
             # hit docs KEEP url/warc_ts (replay reattaches mentions to
             # the current doc); only the text can be thinned away.
             out.loc[hit, "text"] = ""
             out["_hit"] = hit.astype(np.int8)
             return out
 
-        cg = (
-            keyed.map_batches(tag_doc, batch_format="pandas")
-            .union(index.map_batches(tag_idx, batch_format="pandas"))
-            .groupby("_gbucket")
-            .map_groups(split_bucket, batch_format="pandas")
-            .materialize()
-        )
+        cg = cogroup(
+            {
+                "docs": keyed.select_columns(
+                    ["memo_key", "url", "warc_ts", "text"]
+                ),
+                "index": index,
+            },
+            "memo_key",
+            split_bucket,
+        ).materialize()
         misses = cg.map_batches(
             lambda df: df[df["_hit"] == 0].drop(columns=["_hit"]),
             batch_format="pandas",
@@ -246,59 +222,46 @@ def extract_with_memo(
         _atomic_write_dir(data_rows, os.path.join(memo_dir, "data"))
 
         # index rows: EVERY miss doc, including zero-mention ones.
-        # Per-url mention counts attach via a bucketed co-group — the
-        # old driver-side Series (one entry per miss url, then shipped
-        # into every task's closure) was a corpus-scale collect on
-        # exactly the resume path the memo exists to scale.
-        def tag_miss(df: pd.DataFrame) -> pd.DataFrame:
-            out = pd.DataFrame(
-                {
-                    "memo_key": df["memo_key"].astype(str),
-                    "url": df["url"].astype(str),
-                    "n_mentions": np.int64(-1),
-                    "_src": np.int8(0),
-                }
-            )
-            out["_gbucket"] = key_buckets(out, ["url"], n_buckets)
-            return out
-
+        # Per-url mention counts attach via a co-group on url — a
+        # driver-side Series (one entry per miss url, shipped into every
+        # task's closure) would be a corpus-scale collect on exactly the
+        # resume path the memo exists to scale.
         def cnt_partial(df: pd.DataFrame) -> pd.DataFrame:
             g = df.groupby("url", sort=False).size()
-            out = pd.DataFrame(
+            return pd.DataFrame(
                 {
-                    "memo_key": "",
                     "url": g.index.astype(str),
                     "n_mentions": g.to_numpy().astype(np.int64),
-                    "_src": np.int8(1),
                 }
             )
-            out["_gbucket"] = key_buckets(out, ["url"], n_buckets)
-            return out
 
-        def attach_counts(g: pd.DataFrame) -> pd.DataFrame:
-            m = g[g["_src"] == 0]
-            c = (
-                g[g["_src"] == 1]
-                .groupby("url", sort=False)["n_mentions"]
-                .sum()
-            )
+        def attach_counts(f: dict):
+            m = f["miss"]
+            if m is None:
+                return None
+            n = np.zeros(len(m), dtype=np.int64)
+            if f["cnt"] is not None:
+                c = f["cnt"].groupby("url", sort=False)["n_mentions"].sum()
+                pos = c.index.get_indexer(m["url"])
+                hit = pos >= 0
+                n[hit] = c.to_numpy(np.int64)[pos[hit]]
             return pd.DataFrame(
                 {
                     "memo_key": m["memo_key"].astype(str).to_numpy(),
                     "url": m["url"].astype(str).to_numpy(),
-                    "n_mentions": m["url"]
-                    .map(c)
-                    .fillna(0)
-                    .astype(np.int64)
-                    .to_numpy(),
+                    "n_mentions": n,
                 }
             )
 
-        tagged = misses.map_batches(tag_miss, batch_format="pandas").union(
-            mentions_fresh.map_batches(cnt_partial, batch_format="pandas")
-        )
-        index_rows = tagged.groupby("_gbucket").map_groups(
-            attach_counts, batch_format="pandas"
+        index_rows = cogroup(
+            {
+                "miss": misses.select_columns(["memo_key", "url"]),
+                "cnt": mentions_fresh.map_batches(
+                    cnt_partial, batch_format="pandas"
+                ),
+            },
+            "url",
+            attach_counts,
         )
         _atomic_write_dir(index_rows, os.path.join(memo_dir, "index"))
         fresh = mentions_fresh
@@ -312,52 +275,23 @@ def extract_with_memo(
         # which replay takes from the CURRENT hit doc
         payload_cols = [c for c in mcols if c not in ("url", "warc_ts")]
 
-        def tag_data(df: pd.DataFrame) -> pd.DataFrame:
-            out = df[["memo_key", *mcols]].copy()
-            out["_src"] = np.int8(0)
-            out["_gbucket"] = key_buckets(out, ["memo_key"], n_buckets)
-            return out
-
-        def tag_hit(df: pd.DataFrame) -> pd.DataFrame:
-            out = pd.DataFrame(
-                {
-                    "memo_key": df["memo_key"].astype(str),
-                    "url": df["url"].astype(str),
-                    "warc_ts": df["warc_ts"],
-                }
-            )
-            for c in payload_cols:
-                out[c] = ""
-            out["n_mentions"] = np.int32(0)
-            out["doc_ord"] = np.int32(0)
-            out["aliases"] = [[] for _ in range(len(df))]
-            out = out[["memo_key", *mcols]]
-            out["_src"] = np.int8(1)
-            out["_gbucket"] = key_buckets(out, ["memo_key"], n_buckets)
-            return out
-
-        def replay_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        def replay_bucket(f: dict) -> pd.DataFrame:
             # vectorized per bucket: dedup each key's payload (the
             # append-only data dir may hold duplicates), then fan it out
             # to every hit doc of that key via one merge — each replayed
             # row carries the hit doc's own url/warc_ts.
-            data_rows = g[g["_src"] == 0]
-            hits = g[g["_src"] == 1]
-            if data_rows.empty or hits.empty:
-                return data_rows.iloc[0:0][mcols]
-            payload = data_rows[["memo_key", *payload_cols]].drop_duplicates(
+            if f["data"] is None or f["hits"] is None:
+                return MENTIONS_SCHEMA.empty_table().to_pandas()
+            payload = f["data"][["memo_key", *payload_cols]].drop_duplicates(
                 ["memo_key", "doc_ord", "entity_type", "name"]
             )
-            out = hits[["memo_key", "url", "warc_ts"]].merge(
-                payload, on="memo_key", how="inner"
-            )
+            out = f["hits"].merge(payload, on="memo_key", how="inner")
             return out[mcols]
 
-        replayed = (
-            data.map_batches(tag_data, batch_format="pandas")
-            .union(hit_docs.map_batches(tag_hit, batch_format="pandas"))
-            .groupby("_gbucket")
-            .map_groups(replay_bucket, batch_format="pandas")
+        replayed = cogroup(
+            {"data": data.select_columns(["memo_key", *mcols]), "hits": hit_docs},
+            "memo_key",
+            replay_bucket,
         )
 
     stats = {"hits": int(n_hit), "misses": int(n_miss)}

@@ -126,20 +126,24 @@ def test_attach_entity_id_inner_semantics(ray_session):
 
 def test_cogroup_exact_across_schemas_keys_and_blocks(ray_session):
     """Sides with different columns co-group exactly: an int64 payload
-    >= 2^62 round-trips bit-exact, an int32 key meets its int64 twin
-    (and a large_string key its object twin), a side absent from a
-    bucket arrives as None, and 1, 8 or 49 input blocks give equal
-    output."""
+    >= 2^62 and a bytes payload round-trip bit-exact, an int32 key meets
+    its int64 twin (and a large_string key its object twin), a side
+    absent from a bucket or with no rows at all arrives as None, typed
+    empty kernel outputs keep their columns and dtypes, and 1, 8 or 49
+    input blocks give equal output."""
     import pyarrow as pa
     import ray.data as rd
 
     from hinbox_ray.stages.cogroup import cogroup
 
     keys = np.arange(60)
+    rng = np.random.default_rng(2)
     left = pd.DataFrame(
         {
             "k": keys.astype(np.int32),
             "big": (np.int64(1) << np.int64(62)) + keys.astype(np.int64),
+            # shingle-blob shape: sorted uint64 bytes, NULs included
+            "blob": [rng.integers(0, 2**63, k % 5, dtype=np.uint64).tobytes() for k in keys],
         }
     )
     right = pd.DataFrame(
@@ -173,8 +177,41 @@ def test_cogroup_exact_across_schemas_keys_and_blocks(ray_session):
             .reset_index(drop=True)
         )
         assert got["big"].dtype == np.int64
-        pd.testing.assert_frame_equal(got[["k", "big", "name"]], want, check_dtype=True)
+        pd.testing.assert_frame_equal(
+            got[["k", "big", "blob", "name"]], want, check_dtype=True
+        )
         assert got["r_absent"].any() and not got["r_absent"].all()
+
+        # a side with no rows (a first memo run, a join without
+        # candidates) arrives as None in every bucket
+        empty_r = _blocked(right.iloc[0:0], n)
+        got = (
+            cogroup({"l": _blocked(left, n), "r": empty_r}, {"l": "k", "r": "key"}, kernel)
+            .to_pandas()
+            .sort_values("k")
+            .reset_index(drop=True)
+        )
+        assert got["r_absent"].all()
+        pd.testing.assert_frame_equal(
+            got[["k", "big", "blob", "name"]], want.assign(name=""), check_dtype=True
+        )
+
+        # typed empty frames from every bucket keep columns and dtypes
+        typed = pd.DataFrame(
+            {
+                "k": pd.Series(dtype=np.int64),
+                "big": pd.Series(dtype=np.int64),
+                "score": pd.Series(dtype=np.float64),
+            }
+        )
+        res = cogroup(
+            {"l": _blocked(left, n), "r": _blocked(right, n)},
+            {"l": "k", "r": "key"},
+            lambda f: typed,
+        ).materialize()
+        assert res.count() == 0
+        assert res.schema().names == ["k", "big", "score"]
+        assert res.schema().types == [pa.int64(), pa.int64(), pa.float64()]
 
     strs = rd.from_arrow(
         pa.table({"s": pa.array(["x", "y", "z"], pa.large_string()), "v": [1, 2, 3]})

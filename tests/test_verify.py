@@ -49,7 +49,7 @@ def test_pipeline_and_review_queue(ray_session, tmp_path):
     ).materialize()
     raw = raw_entities(mentions).materialize()
     pairs = candidate_pairs_with_meta(raw)
-    verdicts = verify_pairs(pairs, concurrency=2).materialize()
+    verdicts = verify_pairs(pairs).materialize()
     vd = verdicts.to_pandas()
     assert set(vd["verdict"]).issubset({MATCH, SKIP, DEFER})
     # every accepted resolution edge shows up as MATCH here
