@@ -163,7 +163,7 @@ def _kg_increment_planted(sf_dir: str) -> Any:
     ('+' rows); at sf0.001 the planted corpus yields 119 '+' and 65 '-'
     rows, so both branches are non-vacuous. The diff itself is ONE
     ``cogroup`` of the two triple sets on the triple (set anti-join
-    both ways, one outer merge per bucket), the update shape a store
+    both ways, one outer merge per block), the update shape a store
     ships downstream. The DuckDB oracle derives both ground-truth
     sets independently from the filtered and unfiltered plant plans and
     EXCEPTs them both ways.

@@ -762,7 +762,7 @@ def orders_lineitem_range_join(
 # Hash-partition joins (inner / semi / anti on a high-cardinality key)
 # through ``stages.cogroup.cogroup``: both sides hash onto the same
 # buckets, ONE sort shuffle co-locates each bucket, and the kernel is a
-# vectorized pandas/numpy merge over the two side frames.  One Ray group
+# vectorized pandas/numpy merge over a block's two side frames.  One Ray group
 # per key would pay ~0.4 ms fixed cost per tiny group at millions of
 # keys.  Key→bucket is uniform for surrogate keys, so no salt is
 # needed.  Only the lean projected columns cross the shuffle — never
@@ -777,8 +777,8 @@ def revenue_by_region(sf_dir: str) -> ray.data.Dataset:
     int64→int8 lookup (c_custkey → r_regionkey, vectorized
     ``np.searchsorted``) applied to the orders stream; the one genuinely
     corpus-scale join (lineitem ⋈ orders on orderkey) is the
-    ``cogroup`` above, with revenue pre-summed per bucket so each bucket
-    emits ≤ |regions| rows.  Revenue rounds to whole dollars —
+    ``cogroup`` above, with revenue pre-summed per shuffle block so each
+    block emits ≤ |regions| rows.  Revenue rounds to whole dollars —
     summation-order error ≪ 0.5 at gate scale (see module float policy).
     """
     import numpy as np
@@ -878,7 +878,7 @@ def customers_no_orders(sf_dir: str) -> ray.data.Dataset:
     semantics observable), counted per market segment.  Orders prune at
     the read (2 columns), filter vectorized, then pre-thin to
     per-batch-distinct custkeys (combiner) before the ``cogroup``; the
-    kernel is one vectorized ``np.isin`` + ``value_counts`` per bucket.
+    kernel is one vectorized ``np.isin`` + ``value_counts`` per block.
     """
     import numpy as np
     import pandas as pd

@@ -3,7 +3,7 @@
 Two building blocks carry every query here:
 
 - ``cogroup`` (``stages/cogroup.py``): every exchange, one or two
-  sided, with one vectorized pandas kernel per bucket;
+  sided, with one vectorized pandas kernel per shuffle block;
 - ``pregel``: a fixed number of message-passing rounds over a node
   state table and a directed edge table, two co-groups per round.
 
@@ -12,7 +12,7 @@ co-mention edges with ea < eb, or ``(src, dst, w)`` directed host
 edges); the ``kg_*_planted`` queries build the planted KG once and
 feed it in. Node tables key on a ``node`` column. Every exchange uses
 ``N_BUCKETS`` buckets: the graphs are entity- or host-vocabulary
-scale, and each bucket costs a few ms of per-bucket work.
+scale, so few buckets keep the payload rows few.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def degrees(edges):
 def attach(rows, table, col: str, suffix: str = ""):
     """rows ⋈ table on rows[col] == table.node (inner): each row gains
     the table's other columns, renamed with ``suffix``. One co-group;
-    the per-bucket lookup is a vectorized ``get_indexer``."""
+    the per-block lookup is a vectorized ``get_indexer``."""
 
     def kernel(f: dict):
         r, t = f["rows"], f["table"]
@@ -126,8 +126,10 @@ def pregel(state, edges, send, update, rounds: int):
     the first merges the state onto edges by ``src`` and calls
     ``send(frame)``, which returns (node, msg…) rows addressed to
     their target; the second calls ``update(state_frame, msg_frame)``
-    per bucket (``msg_frame`` is None where no message arrived) and
-    returns the new state frame. The state is materialized once per
+    once per shuffle block, with many nodes per call (``msg_frame`` is
+    None when no message reached any node of the block), and returns
+    the new state frame; ``update`` fills the nodes that got no
+    message itself. The state is materialized once per
     round, the superstep barrier: both co-groups of the next round read
     it, and lineage stays linear in ``rounds``. Driver state is zero.
     """

@@ -24,7 +24,7 @@ Scale notes:
   hash-partition dedup; no row text crosses the shuffle, only hashes
   and ids;
 - LSH emits (band_key, doc_id) pairs (bounded: bands × docs), groups
-  by band, emits candidate id-pairs capped per bucket, dedups pairs,
+  by band, emits candidate id-pairs capped per band, dedups pairs,
   then joins the hashed-shingle sets back by doc_id for exact verify —
   shingle sets transit the shuffle at most twice (once per pair side),
   never bands× times;
@@ -458,9 +458,21 @@ _NUM_PERM = 128
 # stays negligible; per-bucket caps + drop logging guard the tail.
 _NUM_BANDS = 64
 _PAIR_CAP = 2000  # per-bucket pair cap bounds O(n²) blowup on hot buckets
-_BAND_SHUFFLE_BUCKETS = 512  # coarse shuffle groups for band-key grouping
 
 _log = __import__("logging").getLogger("hinbox_ray.textops")
+
+
+def _band_exchange(rows, bucket_pairs):
+    """LSH candidate pairs: (band_key, doc_id, …) rows shuffle on a hash
+    bucket of the band key, and ``bucket_pairs`` re-groups each shuffle
+    block by band_key (distinct band keys are corpus-scale; one Ray
+    group per key would pay ~0.4 ms fixed cost — measured 186 s for
+    30k docs)."""
+    from ..stages.cogroup import N_BUCKETS, bucket_exchange, key_buckets
+
+    return bucket_exchange(
+        rows, lambda df: key_buckets(df, ["band_key"], N_BUCKETS), bucket_pairs
+    )
 
 
 def _log_dropped_pairs(bucket: str, n_dropped: int, kind: str = "pairs") -> None:
@@ -572,7 +584,7 @@ def _minhash_signatures(sf_dir: str) -> ray.data.Dataset:
 def _attach_grams(pairs_ds, sigs_ds, side: str, *, dedup: bool) -> "ray.data.Dataset":
     """Fill grams_a or grams_b for the pair rows keyed by ``side``
     (doc_a or doc_b): ``cogroup`` of the pairs and the signature table
-    on the doc id, one vectorized pandas merge per bucket. With
+    on the doc id, one vectorized pandas merge per shuffle block. With
     ``dedup`` every pair (a, b) collapses to one row; the dedup is
     global because the ``side`` key determines the bucket."""
     from ..stages.cogroup import cogroup
@@ -690,13 +702,6 @@ def doc_minhash_neardup(
         )
         return pa.table(
             {
-                # shuffle on a COARSE bucket of the band key, not the
-                # key itself: distinct band keys are corpus-scale (most
-                # bands are singletons) and one Ray group per key pays
-                # ~0.4 ms fixed cost — measured 186 s for 30k docs.
-                # ~512 groups regardless of corpus size; bands are
-                # re-grouped vectorized inside the kernel.
-                "bucket": pa.array(flat % _BAND_SHUFFLE_BUCKETS, type=pa.int64()),
                 "band_key": pa.array(flat, type=pa.int64()),
                 "doc_id": pa.array(ids, type=pa.int64()),
             }
@@ -757,11 +762,11 @@ def doc_minhash_neardup(
             }
         )
 
-    cands = (
-        sigs.select_columns(["doc_id", "bands"])
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
+    cands = _band_exchange(
+        sigs.select_columns(["doc_id", "bands"]).map_batches(
+            explode, batch_format="pyarrow"
+        ),
+        bucket_pairs,
     )
     with_a = _attach_grams(cands, sigs, "doc_a", dedup=True)
     with_b = _attach_grams(with_a, sigs, "doc_b", dedup=False)
@@ -1336,9 +1341,9 @@ def embedding_neardup_lsh(
     at cos 0.9; at cos 0.4 recall is small BY DESIGN — thresholds that
     low are background similarity and need the exact plan. Physical
     plan mirrors doc_minhash_neardup's distributed path: signature
-    explode → groupby(bucket) candidate pairs (per-bucket pair cap with
+    explode → band-key exchange candidate pairs (per-band pair cap with
     a LOGGED drop count) → co-group the normalized vectors back per
-    side → exact-cosine verify ≥ threshold. Only (bucket, id) rows and
+    side → exact-cosine verify ≥ threshold. Only (band, id) rows and
     two copies of each paired vector transit the shuffle.
 
     ``plant`` > 0 unions the input with exact copies of the ``plant``
@@ -1414,11 +1419,6 @@ def embedding_neardup_lsh(
         )
         return pa.table(
             {
-                # coarse shuffle bucket, not the raw band key (the
-                # engine-wide bucketed-grouping invariant: distinct
-                # keys grow with n_tables × 2^n_bits, and one Ray
-                # group per key pays ~0.4 ms fixed cost)
-                "bucket": pa.array(flat % _BAND_SHUFFLE_BUCKETS, type=pa.int64()),
                 "band_key": pa.array(flat, type=pa.int64()),
                 "doc_id": pa.array(ids, type=pa.int64()),
             }
@@ -1475,11 +1475,11 @@ def embedding_neardup_lsh(
             }
         )
 
-    cands = (
-        sigs.select_columns(["doc_id", "bands"])
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
+    cands = _band_exchange(
+        sigs.select_columns(["doc_id", "bands"]).map_batches(
+            explode, batch_format="pyarrow"
+        ),
+        bucket_pairs,
     )
     with_a = _attach_grams(cands, sigs, "doc_a", dedup=True)
     with_b = _attach_grams(with_a, sigs, "doc_b", dedup=False)
@@ -1522,7 +1522,7 @@ def embedding_neardup_lsh(
 
 def doc_simhash_neardup(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
     """Near-dup pairs by 64-bit SimHash: 4×16-bit band blocking →
-    per-bucket candidate pairs → Hamming verify ≤ max_hamming.
+    per-band candidate pairs → Hamming verify ≤ max_hamming.
 
     Pairs within ``max_hamming`` ≤ 15 are guaranteed caught (pigeonhole:
     ≤3 differing bits cannot touch all 4 bands). Rows-only correctness
@@ -1558,11 +1558,6 @@ def doc_simhash_neardup(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
         ).astype(np.int64)
         return pa.table(
             {
-                # coarse shuffle bucket, not the raw band key: distinct
-                # keys are corpus-scale (≤ 4·2^16 here but one Ray group
-                # per key pays ~0.4 ms — the same pathology fixed in the
-                # minhash path); bands re-group inside the kernel
-                "bucket": pa.array(keys % _BAND_SHUFFLE_BUCKETS, type=pa.int64()),
                 "band_key": pa.array(keys, type=pa.int64()),
                 "doc_id": pa.array(np.tile(ids, 4), type=pa.int64()),
                 "simhash": pa.array(np.tile(shs, 4), type=pa.uint64()),
@@ -1620,11 +1615,11 @@ def doc_simhash_neardup(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
     from ..stages.cogroup import bucketed_drop_duplicates
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    pairs = (
-        ds.map_batches(sig, batch_format="pyarrow")
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(bucket_pairs, batch_format="pandas")
+    pairs = _band_exchange(
+        ds.map_batches(sig, batch_format="pyarrow").map_batches(
+            explode, batch_format="pyarrow"
+        ),
+        bucket_pairs,
     )
     # same pair can surface from several bands → distributed exact dedup
     return bucketed_drop_duplicates(pairs, ["doc_a", "doc_b"]).sort(
@@ -1767,12 +1762,9 @@ def doc_jaccard_sample(
                 out_j += j2
         return _table(out_a, out_b, out_j)
 
-    out = grid.map_batches(score_pair, batch_size=4, batch_format="pyarrow")
-    # well-typed even when no pair clears the threshold (an empty
-    # untyped Dataset would fail the driver's schema comparison)
-    return out.union(ray.data.from_arrow(_table([], [], []))).sort(
-        ["doc_a", "doc_b"]
-    )
+    return grid.map_batches(
+        score_pair, batch_size=4, batch_format="pyarrow"
+    ).sort(["doc_a", "doc_b"])
 
 
 
@@ -1820,14 +1812,15 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
     valve (state/lineage.py) like the k-means vector table.
     """
     from ..stages.cogroup import (
+        N_BUCKETS,
         bucket_exchange,
         bucketed_drop_duplicates,
         bucketed_map_groups,
         cogroup,
+        key_buckets,
     )
 
     t_pct = int(threshold_pct)
-    n_buckets = 512
 
     def gram_blobs(batch: pa.Table) -> pa.Table:
         ids, blobs = [], []
@@ -1900,7 +1893,6 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
         blobs.map_batches(add_set_key, batch_format="pandas"),
         "skey",
         cluster_kernel,
-        n_buckets=n_buckets,
     ).materialize()
 
     def members_f(df: pd.DataFrame) -> pd.DataFrame:
@@ -1940,13 +1932,11 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
     within = clusters.map_batches(within_f, batch_format="pandas")
 
     # ── stage 2: prefix-filter join over distinct sets ────────────────
-    # Each stage exchanges on a coarse bucket of its key (h % n_buckets,
-    # doc_id % n_buckets) and runs one vectorized pandas pass per
-    # bucket, not one kernel call per shingle or per set.
-    nb = np.uint64(n_buckets)
-
+    # Each stage exchanges on a hash bucket of its key (h, doc_id) and
+    # runs one vectorized pandas pass per shuffle block, not one kernel
+    # call per shingle or per set.
     def h_bucket(df: pd.DataFrame) -> np.ndarray:
-        return (df["h"].to_numpy(np.uint64) % nb).astype(np.int64)
+        return key_buckets(df, ["h"], N_BUCKETS)
 
     def gram_rows(df: pd.DataFrame) -> pd.DataFrame:
         sets = [np.frombuffer(b, dtype=np.uint64) for b in df["grams"]]
@@ -1977,7 +1967,7 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
         return g.loc[keep, ["h", "doc_id", "size"]]
 
     prefixes = bucket_exchange(
-        with_df, lambda df: df["doc_id"].to_numpy(np.int64) % n_buckets, prefix
+        with_df, lambda df: key_buckets(df, ["doc_id"], N_BUCKETS), prefix
     )
 
     # candidates: sets sharing a prefix shingle, length-filtered — each
@@ -1999,9 +1989,7 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
         ).drop_duplicates()
 
     cands = bucketed_drop_duplicates(
-        bucket_exchange(prefixes, h_bucket, candidates),
-        ["doc_a", "doc_b"],
-        n_buckets=n_buckets,
+        bucket_exchange(prefixes, h_bucket, candidates), ["doc_a", "doc_b"]
     )
 
     # verification: attach doc_a's shingle blob to each candidate, then
@@ -2106,20 +2094,7 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
         expand_b,
     )
 
-    # well-typed even when empty (schema comparison needs columns)
-    empty = ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-                "n_inter": pa.array([], type=pa.int64()),
-                "size_a": pa.array([], type=pa.int64()),
-                "size_b": pa.array([], type=pa.int64()),
-                "jac_e6": pa.array([], type=pa.int64()),
-            }
-        )
-    )
-    return cross.union(within).union(empty).sort(["doc_a", "doc_b"])
+    return cross.union(within).sort(["doc_a", "doc_b"])
 
 
 def doc_wordpiece_count(sf_dir: str) -> ray.data.Dataset:

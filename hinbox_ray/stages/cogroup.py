@@ -4,7 +4,7 @@
 key columns into the same buckets, ships each side's per-bucket
 sub-table as one Arrow IPC payload row ``(_gbucket, _side, _blob)``,
 groups the payload rows with one sort shuffle and hands the kernel
-whole per-side bucket frames. Sides keep their own schemas. They are
+whole per-side block frames. Sides keep their own schemas. They are
 not ``union``-ed as rows: on Ray 2.49.2 a ``union`` of two sides with
 different columns runs, but Ray concatenates the blocks through pandas
 and casts the other side's int64 column to float64, so the values
@@ -17,13 +17,25 @@ one that tags, buckets and ships sides. It does not use
 took 3.6–5.2 s per call at every size from 19 to 50k rows, the
 bucketed co-group 0.14–2.5 s.
 
+Kernel contract (every exchange here). The kernel runs once per
+shuffle output block, not once per bucket or per key. A block holds
+whole key groups: the sort on ``_gbucket`` never puts equal buckets in
+two blocks, and a key determines its bucket. A block holds many keys,
+so a kernel must give the same answer over any union of whole key
+groups, i.e. group or merge on its key itself. For ``cogroup`` a side
+is ``None`` when it has no rows in the block; empty blocks are skipped.
+
 Sizing rule. A sort shuffle pays a fixed ~18 ms per INPUT block (about
 twice that when the upstream is lazy), nearly independent of rows and
 of ``num_partitions``, and every ``union`` adds its sides' block
 counts. So every exchange here tags its rows in a map with
 ``batch_size=COALESCE_ROWS``: Ray bundles small upstream blocks into
 one task, and the shuffle sees about ⌈rows/COALESCE_ROWS⌉ blocks per
-side. Blocks already over that size are unchanged. It adds no
+side. Blocks already over that size are unchanged. The sort emits as
+many blocks as it takes in, so a kernel runs ⌈rows/COALESCE_ROWS⌉
+times per exchange, however many buckets there are; the bucket count
+only sets how finely rows can spread over blocks (and, for
+``cogroup``, how many payload rows a batch ships). It adds no
 ``count()``, no ``repartition`` and no parameter.
 
 Measured negatives (same probe setup):
@@ -31,12 +43,16 @@ Measured negatives (same probe setup):
   small blocks (49 blocks in, 49 out);
 - ``repartition(1)`` coalesces, but adds one all-to-all per call
   (kgbench docs_dedup ``plan.all_to_all_calls`` 21 → 30);
-- ``groupby(..., num_partitions=cpus)`` moved nothing measurable.
+- ``groupby(..., num_partitions=cpus)`` moved nothing measurable;
+- one kernel call per bucket (``groupby(_gbucket).map_groups``) paid
+  a few ms of slicing and pandas set-up per bucket, all in one task on
+  a one-block input: traced kgbench docs_dedup ``cogroup.busy_s`` read
+  3.65–3.73 s against 0.66–0.69 s for one call per block (1-core VM,
+  Ray num_cpus=4).
 
 ``bucket_exchange``, ``bucketed_map_groups`` and
-``bucketed_drop_duplicates`` are the one-sided exchanges of the dedup
-and textops paths: rows are tagged with their bucket and grouped by
-``groupby(_gbucket).map_groups``.
+``bucketed_drop_duplicates`` are the one-sided exchanges of the dedup,
+textops and resolution paths.
 """
 
 from __future__ import annotations
@@ -49,6 +65,9 @@ _FNV_PRIME = np.uint64(1099511628211)
 
 # rows per block a co-group input is coalesced to before its exchange
 COALESCE_ROWS = 65_536
+
+# hash buckets of the one-sided exchanges
+N_BUCKETS = 512
 
 
 def key_buckets(df: pd.DataFrame, key_cols, n_buckets: int) -> np.ndarray:
@@ -64,43 +83,47 @@ def key_buckets(df: pd.DataFrame, key_cols, n_buckets: int) -> np.ndarray:
 
 
 def bucket_exchange(ds, bucket_of, kernel):
-    """One-sided sort-shuffle grouping: coalesce ``ds`` by rows (module
-    docstring), tag each row with ``_gbucket = bucket_of(frame)`` and
-    run ``kernel`` once per bucket frame; the exchange sees
-    ⌈rows/COALESCE_ROWS⌉ blocks."""
+    """One-sided sort-shuffle grouping: coalesce ``ds`` by rows, tag
+    each row with ``_gbucket = bucket_of(frame)``, sort on it and run
+    ``kernel`` once per non-empty output block on that block's rows
+    (``_gbucket`` dropped). Every bucket, hence every key that
+    determines its bucket, lies whole in one block; a block holds many
+    keys (module docstring)."""
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
         df["_gbucket"] = bucket_of(df)
         return df
 
+    def run(df: pd.DataFrame):
+        if len(df):
+            yield kernel(df.drop(columns=["_gbucket"]))
+
     return (
         ds.map_batches(
             add_bucket, batch_format="pandas", batch_size=COALESCE_ROWS
         )
-        .groupby("_gbucket")
-        .map_groups(kernel, batch_format="pandas")
+        .sort("_gbucket")
+        .map_batches(run, batch_format="pandas", batch_size=None)
     )
 
 
-def bucketed_map_groups(ds, keys, kernel, *, n_buckets: int = 512):
-    """``groupby(keys).map_groups(kernel)`` with O(n_buckets) Ray
-    groups instead of one per key.
+def bucketed_map_groups(ds, keys, kernel):
+    """``groupby(keys).map_groups(kernel)`` without one Ray group per
+    key.
 
     Ray's map_groups pays ~0.4 ms fixed scheduling cost per group; over
     a vocabulary-scale key space (most groups tiny) that fixed cost IS
     the stage — measured 186 s for 30k docs on the minhash band path
     before the same fix. Shuffling on a hash bucket of the key keeps
     the exchange identical (all rows of a key co-locate) while the
-    per-key re-grouping happens inside the bucket task with pandas,
-    whose per-group cost is ~10× smaller and parallelizes across
-    buckets. Exactness is preserved: bucket(key) is a function of the
-    key, so no key spans two Ray groups.
+    per-key grouping happens inside each block's task with pandas.
+    Exactness is preserved: bucket(key) is a function of the key, so
+    no key spans two blocks.
     """
     key_list = [keys] if isinstance(keys, str) else list(keys)
 
-    def run_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_gbucket"])
+    def run_block(g: pd.DataFrame) -> pd.DataFrame:
         outs = [
             kernel(sub)
             for _, sub in g.groupby(key_list, sort=True, dropna=False)
@@ -108,14 +131,13 @@ def bucketed_map_groups(ds, keys, kernel, *, n_buckets: int = 512):
         return pd.concat(outs, ignore_index=True)
 
     return bucket_exchange(
-        ds, lambda df: key_buckets(df, key_list, n_buckets), run_bucket
+        ds, lambda df: key_buckets(df, key_list, N_BUCKETS), run_block
     )
 
 
-def bucketed_drop_duplicates(ds, dedup_cols, *, bucket_cols=None, n_buckets=512):
-    """Distributed ``drop_duplicates(dedup_cols)`` with O(n_buckets) Ray
-    groups and ONE vectorized pandas dedup per bucket — never one group
-    per distinct row.
+def bucketed_drop_duplicates(ds, dedup_cols, *, bucket_cols=None):
+    """Distributed ``drop_duplicates(dedup_cols)``: ONE vectorized
+    pandas dedup per shuffle block — never one group per distinct row.
 
     Exactness requires every copy of a duplicate row to land in the
     same bucket: ``bucket_cols`` (default: ``dedup_cols``) must be
@@ -127,11 +149,10 @@ def bucketed_drop_duplicates(ds, dedup_cols, *, bucket_cols=None, n_buckets=512)
     ))
     dd_cols = [dedup_cols] if isinstance(dedup_cols, str) else list(dedup_cols)
 
-    def dedup(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(dd_cols).drop(columns=["_gbucket"])
-
     return bucket_exchange(
-        ds, lambda df: key_buckets(df, bucket_cols, n_buckets), dedup
+        ds,
+        lambda df: key_buckets(df, bucket_cols, N_BUCKETS),
+        lambda g: g.drop_duplicates(dd_cols),
     )
 
 
@@ -179,18 +200,19 @@ def _to_payload(side: str, cols: list, n_buckets: int):
 
 def cogroup(sides: dict, on, kernel, *, n_buckets: int = 512):
     """Co-group the datasets in ``sides`` on their key columns and run
-    ``kernel(frames)`` once per bucket, where ``frames`` maps each side
-    name to that side's pandas rows in the bucket, or ``None`` when the
-    side has none there. Every key lands in exactly one bucket, so a
-    kernel that merges its frames on the key joins exactly.
+    ``kernel(frames)`` once per shuffle output block, where ``frames``
+    maps each side name to that side's pandas rows in the block, or
+    ``None`` when the side has no rows there. A block holds whole key
+    groups, many keys each (module docstring), so a kernel that merges
+    its frames on the key joins exactly.
 
     ``on`` names the key columns: one column or a list, shared by every
     side, or a dict ``{side: columns}``; key columns pair by position.
     Each side is coalesced by data rows (module docstring) and turned
-    into Arrow payload rows; the payload rows of all sides are
-    bundled again (at most one full payload batch per side) and one
-    sort shuffle on ``_gbucket`` groups them. The kernel returns a
-    DataFrame or ``None`` (no rows)."""
+    into Arrow payload rows, one per bucket and batch; the payload rows
+    of all sides are bundled again (at most one full payload batch per
+    side) and one sort shuffle on ``_gbucket`` groups them. The kernel
+    returns a DataFrame or ``None`` (no rows)."""
     names = list(sides)
     keys = {
         n: _key_list(on[n] if isinstance(on, dict) else on) for n in names
@@ -214,31 +236,24 @@ def cogroup(sides: dict, on, kernel, *, n_buckets: int = 512):
         )
 
     def run(t: pa.Table):
-        b = t["_gbucket"].to_numpy()
+        if not t.num_rows:
+            return
         side = t["_side"].to_numpy(zero_copy_only=False)
         blob = t["_blob"]
-        outs = []
-        for bucket in np.unique(b):
-            frames = {}
-            for n in names:
-                parts = [
-                    pa.ipc.open_stream(blob[int(i)].as_buffer()).read_all()
-                    for i in np.flatnonzero((b == bucket) & (side == n))
-                ]
-                frames[n] = (
-                    pa.concat_tables(parts, promote_options="permissive")
-                    .to_pandas()
-                    if parts
-                    else None
-                )
-            out = kernel(frames)
-            if out is not None:
-                outs.append(out)
-        full = [o for o in outs if len(o)]
-        if full:
-            yield pd.concat(full, ignore_index=True)
-        elif outs:
-            yield outs[0]
+        frames = {}
+        for n in names:
+            parts = [
+                pa.ipc.open_stream(blob[int(i)].as_buffer()).read_all()
+                for i in np.flatnonzero(side == n)
+            ]
+            frames[n] = (
+                pa.concat_tables(parts, promote_options="permissive").to_pandas()
+                if parts
+                else None
+            )
+        out = kernel(frames)
+        if out is not None:
+            yield out
 
     return ds.sort("_gbucket").map_batches(
         run, batch_format="pyarrow", batch_size=None
@@ -266,7 +281,7 @@ RAW_COLS = [
 
 def attach_component(raw_ds, comps_ds):
     """raw(node_id, ...) ⟕ comps(node_id, component) via ``cogroup`` on
-    node_id, then a vectorized lookup per bucket.
+    node_id, then a vectorized lookup per shuffle block.
 
     Returns the raw columns + ``component`` (int64); nodes absent from
     comps (singletons — no candidate edges) get their own node_id.
@@ -344,7 +359,7 @@ def attach_entity_id(mention_nodes_ds, node_map_ds, *, n_salts: int = 16):
         rows, maps = f["rows"], f["maps"]
         if rows is None or maps is None:
             return None
-        # (node, url) dedup is globally exact in-bucket: equal urls get
+        # (node, url) dedup is globally exact in-block: equal urls get
         # equal salts, so every copy of a (node, url) pair lands here
         sub = rows.drop_duplicates(["node_id", "url"])
         out = sub.merge(

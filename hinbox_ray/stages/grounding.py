@@ -116,7 +116,7 @@ def verify_claims(claims_ds, docs_ds):
 
     from .cogroup import cogroup
 
-    # article ids are corpus-scale: per-bucket verify, never one Ray
+    # article ids are corpus-scale: per-block verify, never one Ray
     # group per article
     return cogroup(
         {

@@ -254,10 +254,11 @@ def _regroup(df: pd.DataFrame) -> pd.DataFrame:
 def raw_entities(mentions_ds):
     """mentions → one row per distinct entity key (vocabulary scale).
 
-    Bucketed grouping: one Ray group per hash bucket of the key, with
-    the per-key ``_regroup`` reduction re-grouped by pandas inside —
-    the key space is the vocabulary, and one Ray group per key would
-    pay ~0.4 ms fixed cost each (see cogroup.bucketed_map_groups)."""
+    Bucketed grouping: rows shuffle on a hash bucket of the key, and
+    the per-key ``_regroup`` reduction runs by pandas inside each
+    shuffle block — the key space is the vocabulary, and one Ray group
+    per key would pay ~0.4 ms fixed cost each (see
+    cogroup.bucketed_map_groups)."""
     from .cogroup import bucketed_map_groups
 
     # combiner per BLOCK, not per 4096-row slice: fewer pandas frames
@@ -267,21 +268,14 @@ def raw_entities(mentions_ds):
     combined = mentions_ds.map_batches(
         _combine_batch, batch_format="pandas", batch_size=None
     ).materialize()
-    n_partials = combined.count()
-    if n_partials == 0:
+    if combined.count() == 0:
         # ADVICE r3: zero-mention corpus — Ray may never invoke the
         # reduce UDF on an all-empty dataset, so emit the typed empty
         # schema directly rather than relying on the kernel's guard.
         import ray.data as rd
 
         return rd.from_pandas(_empty_raw_entities())
-    # bucket count scales with the partial count (the CC rule): a tiny
-    # vocabulary pays fixed per-group latency on empty buckets, a web-
-    # scale one wants the full shuffle parallelism
-    n_buckets = int(min(512, max(16, n_partials // 4096)))
-    return bucketed_map_groups(
-        combined, _KEY_COLS, _regroup, n_buckets=n_buckets
-    )
+    return bucketed_map_groups(combined, _KEY_COLS, _regroup)
 
 
 # ──────────────────────────────────────────────

@@ -142,8 +142,8 @@ def extract_with_memo(
         index = rd.read_parquet(idx_files, columns=["memo_key"])
 
         def split_bucket(f: dict):
-            # one vectorized isin per bucket — never one Ray group per doc
-            if f["docs"] is None:  # bucket holds only memo entries
+            # one vectorized isin per block — never one Ray group per doc
+            if f["docs"] is None:  # block holds only memo entries
                 return None
             out = f["docs"]
             hit = (
@@ -276,7 +276,7 @@ def extract_with_memo(
         payload_cols = [c for c in mcols if c not in ("url", "warc_ts")]
 
         def replay_bucket(f: dict) -> pd.DataFrame:
-            # vectorized per bucket: dedup each key's payload (the
+            # vectorized per block: dedup each key's payload (the
             # append-only data dir may hold duplicates), then fan it out
             # to every hit doc of that key via one merge — each replayed
             # row carries the hit doc's own url/warc_ts.

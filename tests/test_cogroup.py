@@ -128,9 +128,9 @@ def test_cogroup_exact_across_schemas_keys_and_blocks(ray_session):
     """Sides with different columns co-group exactly: an int64 payload
     >= 2^62 and a bytes payload round-trip bit-exact, an int32 key meets
     its int64 twin (and a large_string key its object twin), a side
-    absent from a bucket or with no rows at all arrives as None, typed
-    empty kernel outputs keep their columns and dtypes, and 1, 8 or 49
-    input blocks give equal output."""
+    with no rows in a kernel call's block, or none at all, arrives as
+    None, typed empty kernel outputs keep their columns and dtypes, and
+    1, 8 or 49 input blocks give equal output."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -155,7 +155,12 @@ def test_cogroup_exact_across_schemas_keys_and_blocks(ray_session):
         if lf is None:
             return None
         assert lf["k"].dtype == np.int64  # keys normalised before the kernel
-        out = lf.assign(r_absent=rf is None)
+        # right holds every third key, so it has rows in this call iff
+        # one of the call's left keys is a multiple of 3
+        out = lf.assign(
+            r_absent=rf is None,
+            r_ok=(rf is None) == bool((lf["k"] % 3 != 0).all()),
+        )
         if rf is None:
             return out.assign(name="")
         return out.merge(rf, left_on="k", right_on="key", how="left").drop(
@@ -180,10 +185,10 @@ def test_cogroup_exact_across_schemas_keys_and_blocks(ray_session):
         pd.testing.assert_frame_equal(
             got[["k", "big", "blob", "name"]], want, check_dtype=True
         )
-        assert got["r_absent"].any() and not got["r_absent"].all()
+        assert got["r_ok"].all()
 
         # a side with no rows (a first memo run, a join without
-        # candidates) arrives as None in every bucket
+        # candidates) arrives as None in every call
         empty_r = _blocked(right.iloc[0:0], n)
         got = (
             cogroup({"l": _blocked(left, n), "r": empty_r}, {"l": "k", "r": "key"}, kernel)
@@ -196,7 +201,7 @@ def test_cogroup_exact_across_schemas_keys_and_blocks(ray_session):
             got[["k", "big", "blob", "name"]], want.assign(name=""), check_dtype=True
         )
 
-        # typed empty frames from every bucket keep columns and dtypes
+        # typed empty frames from every call keep columns and dtypes
         typed = pd.DataFrame(
             {
                 "k": pd.Series(dtype=np.int64),
@@ -229,8 +234,8 @@ def test_cogroup_exact_across_schemas_keys_and_blocks(ray_session):
 
 def test_bucketed_map_groups_matches_plain_groupby(ray_session):
     """The bucketed shuffle must be semantically identical to one Ray
-    group per key — same groups, same kernel outputs — while creating
-    only O(n_buckets) Ray groups."""
+    group per key — same groups, same kernel outputs — without one Ray
+    group per key."""
     from hinbox_ray.stages.cogroup import bucketed_map_groups
 
     rng = np.random.default_rng(0)
@@ -263,7 +268,7 @@ def test_bucketed_map_groups_matches_plain_groupby(ray_session):
     # the input coalesced to ceil(rows / COALESCE_ROWS) blocks
     for n in BLOCK_COUNTS:
         res = bucketed_map_groups(
-            _blocked(df, n), ["k", "k2"], kernel, n_buckets=7
+            _blocked(df, n), ["k", "k2"], kernel
         ).materialize()
         got = res.to_pandas().sort_values(["k", "k2"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want)
@@ -283,12 +288,33 @@ def test_bucketed_drop_duplicates_matches_pandas(ray_session):
     )
     want = df.drop_duplicates().sort_values(["u", "v"]).reset_index(drop=True)
     for n in BLOCK_COUNTS:
-        res = bucketed_drop_duplicates(
-            _blocked(df, n), ["u", "v"], n_buckets=7
-        ).materialize()
+        res = bucketed_drop_duplicates(_blocked(df, n), ["u", "v"]).materialize()
         got = res.to_pandas().sort_values(["u", "v"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want)
         assert res.num_blocks() <= _max_blocks(len(df)), n
+
+
+def test_kernels_run_once_per_shuffle_block(ray_session):
+    """``cogroup`` and ``bucket_exchange`` call their kernel once per
+    shuffle output block, not once per bucket: a kernel that returns
+    one marker row per call makes no more rows than the result has
+    blocks, from 1, 8 or 49 input blocks."""
+    from hinbox_ray.stages.cogroup import bucket_exchange, cogroup, key_buckets
+
+    df = pd.DataFrame({"k": np.arange(600, dtype=np.int64)})
+
+    def mark(_):
+        return pd.DataFrame({"call": np.ones(1, dtype=np.int64)})
+
+    for n in BLOCK_COUNTS:
+        for res in (
+            cogroup({"a": _blocked(df, n), "b": _blocked(df.iloc[::2], n)}, "k", mark),
+            bucket_exchange(
+                _blocked(df, n), lambda d: key_buckets(d, ["k"], 64), mark
+            ),
+        ):
+            res = res.materialize()
+            assert 1 <= res.count() <= res.num_blocks(), n
 
 
 def test_attach_component_63bit_ids_exact(ray_session):

@@ -238,6 +238,25 @@ def test_jaccard_join_exact_vs_bruteforce(ray_session, tmp_path):
     assert (1, 4) not in truth
 
 
+def test_jaccard_queries_with_no_similar_pair_return_no_rows(ray_session, tmp_path):
+    """Three docs with disjoint shingle sets: the prefix-filter join and
+    the sampled grid path (one doc per block) return 0 rows, no error —
+    their co-groups and final sorts see empty blocks only."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from hinbox_ray.pipelines.textops import doc_jaccard_join, doc_jaccard_sample
+
+    texts = ["alpha beta gamma delta", "one two three four", "red green blue cyan"]
+    pq.write_table(
+        pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()), "text": texts}),
+        f"{tmp_path}/documents.parquet",
+    )
+    assert doc_jaccard_join(str(tmp_path)).materialize().count() == 0
+    sample = doc_jaccard_sample(str(tmp_path), modulo=1, rows_per_block=1)
+    assert sample.materialize().count() == 0
+
+
 def test_source_percentiles_match_numpy(ray_session):
     """corpus_source_percentiles vs a numpy sort per source — pins the
     ceil(q*n)-1 quantile_disc convention independently of DuckDB."""

@@ -192,9 +192,7 @@ def test_raw_entities_small_and_bucketed_paths_match(ray_session):
     combined = mentions.map_batches(
         _combine_batch, batch_format="pandas", batch_size=None
     )
-    bucketed = bucketed_map_groups(
-        combined, _KEY_COLS, _regroup, n_buckets=16
-    ).to_pandas()
+    bucketed = bucketed_map_groups(combined, _KEY_COLS, _regroup).to_pandas()
     key = ["entity_type", "name", "attr_type", "start_date"]
     a = small.sort_values(key).reset_index(drop=True)
     b = bucketed.sort_values(key).reset_index(drop=True)
