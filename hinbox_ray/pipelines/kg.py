@@ -231,13 +231,14 @@ def sharded_sorted_triples(triples_ds, num_shards: int = 64):
     barrier pressures the object store and scaling efficiency drops
     0.80 → 0.65).
 
-    Plan: shard = hash(subj) % num_shards (int64), one groupby shuffle
-    on the INT key (cheap comparisons, no string sample-sort), then each
-    reduce task sorts ONLY its shard by (subj, pred, obj) with the
-    Arrow sort kernel. All triples of one subject co-locate in one
-    shard, so shards are independently consumable range files — exactly
-    the "range-partitioned sorted shards" layout write_kg emits one
-    file per block. Output keeps the ``shard`` column so a consumer can
+    Plan: shard = hash(subj) % num_shards (int64), one keyed exchange
+    on the INT shard (cheap comparisons, no string sample-sort), then
+    each shuffle block sorts ONLY its own rows by (shard, subj, pred,
+    obj) with the Arrow sort kernel. Every shard lies whole in one
+    block and all triples of one subject co-locate in one shard, so
+    shards are independently consumable range files — exactly the
+    "range-partitioned sorted shards" layout write_kg emits one file
+    per block. Output keeps the ``shard`` column so a consumer can
     prune.
 
     Measured note (10M pages, 32 cpus, single node): Ray's global Arrow
@@ -250,6 +251,8 @@ def sharded_sorted_triples(triples_ds, num_shards: int = 64):
     import pandas as pd
     import pyarrow as _pa
 
+    from ..stages.cogroup import bucket_exchange
+
     def add_shard(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.copy()
         df["shard"] = (
@@ -258,12 +261,13 @@ def sharded_sorted_triples(triples_ds, num_shards: int = 64):
         ).astype(np.int64)
         return df
 
-    def sort_shard(g: "_pa.Table") -> "_pa.Table":
-        # sorted + adjacent-distinct: a shard holds ALL rows of each of
-        # its subjects (hash partition), so the distinct is exact
+    def sort_shards(g: "pd.DataFrame") -> "_pa.Table":
+        # sorted + adjacent-distinct: the block holds ALL rows of each
+        # of its shards (hash partition), so the distinct is exact
         return _distinct_sorted_block(
-            g.sort_by(
+            _pa.Table.from_pandas(g, preserve_index=False).sort_by(
                 [
+                    ("shard", "ascending"),
                     ("subj", "ascending"),
                     ("pred", "ascending"),
                     ("obj", "ascending"),
@@ -271,10 +275,10 @@ def sharded_sorted_triples(triples_ds, num_shards: int = 64):
             )
         )
 
-    return (
-        triples_ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("shard")
-        .map_groups(sort_shard, batch_format="pyarrow")
+    return bucket_exchange(
+        triples_ds.map_batches(add_shard, batch_format="pandas"),
+        "shard",
+        sort_shards,
     )
 
 

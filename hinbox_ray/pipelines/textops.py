@@ -462,19 +462,6 @@ _PAIR_CAP = 2000  # per-bucket pair cap bounds O(n²) blowup on hot buckets
 _log = __import__("logging").getLogger("hinbox_ray.textops")
 
 
-def _band_exchange(rows, bucket_pairs):
-    """LSH candidate pairs: (band_key, doc_id, …) rows shuffle on a hash
-    bucket of the band key, and ``bucket_pairs`` re-groups each shuffle
-    block by band_key (distinct band keys are corpus-scale; one Ray
-    group per key would pay ~0.4 ms fixed cost — measured 186 s for
-    30k docs)."""
-    from ..stages.cogroup import N_BUCKETS, bucket_exchange, key_buckets
-
-    return bucket_exchange(
-        rows, lambda df: key_buckets(df, ["band_key"], N_BUCKETS), bucket_pairs
-    )
-
-
 def _log_dropped_pairs(bucket: str, n_dropped: int, kind: str = "pairs") -> None:
     """Visible truncation: a hot bucket hitting its pair cap loses
     recall silently otherwise (VERDICT r1 wrong#5). One WARNING per
@@ -762,10 +749,13 @@ def doc_minhash_neardup(
             }
         )
 
-    cands = _band_exchange(
+    from ..stages.cogroup import bucket_exchange
+
+    cands = bucket_exchange(
         sigs.select_columns(["doc_id", "bands"]).map_batches(
             explode, batch_format="pyarrow"
         ),
+        "band_key",
         bucket_pairs,
     )
     with_a = _attach_grams(cands, sigs, "doc_a", dedup=True)
@@ -1475,10 +1465,13 @@ def embedding_neardup_lsh(
             }
         )
 
-    cands = _band_exchange(
+    from ..stages.cogroup import bucket_exchange
+
+    cands = bucket_exchange(
         sigs.select_columns(["doc_id", "bands"]).map_batches(
             explode, batch_format="pyarrow"
         ),
+        "band_key",
         bucket_pairs,
     )
     with_a = _attach_grams(cands, sigs, "doc_a", dedup=True)
@@ -1612,13 +1605,14 @@ def doc_simhash_neardup(sf_dir: str, max_hamming: int = 3) -> ray.data.Dataset:
             }
         )
 
-    from ..stages.cogroup import bucketed_drop_duplicates
+    from ..stages.cogroup import bucket_exchange, bucketed_drop_duplicates
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    pairs = _band_exchange(
+    pairs = bucket_exchange(
         ds.map_batches(sig, batch_format="pyarrow").map_batches(
             explode, batch_format="pyarrow"
         ),
+        "band_key",
         bucket_pairs,
     )
     # same pair can surface from several bands → distributed exact dedup
@@ -1812,12 +1806,10 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
     valve (state/lineage.py) like the k-means vector table.
     """
     from ..stages.cogroup import (
-        N_BUCKETS,
         bucket_exchange,
         bucketed_drop_duplicates,
         bucketed_map_groups,
         cogroup,
-        key_buckets,
     )
 
     t_pct = int(threshold_pct)
@@ -1932,12 +1924,9 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
     within = clusters.map_batches(within_f, batch_format="pandas")
 
     # ── stage 2: prefix-filter join over distinct sets ────────────────
-    # Each stage exchanges on a hash bucket of its key (h, doc_id) and
-    # runs one vectorized pandas pass per shuffle block, not one kernel
-    # call per shingle or per set.
-    def h_bucket(df: pd.DataFrame) -> np.ndarray:
-        return key_buckets(df, ["h"], N_BUCKETS)
-
+    # Each stage exchanges on its key (h, doc_id) and runs one
+    # vectorized pandas pass per shuffle block, not one kernel call per
+    # shingle or per set.
     def gram_rows(df: pd.DataFrame) -> pd.DataFrame:
         sets = [np.frombuffer(b, dtype=np.uint64) for b in df["grams"]]
         sizes = np.array([g.size for g in sets], dtype=np.int64)
@@ -1956,7 +1945,7 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
         g = g[["doc_id", "h", "size"]]
         return g.assign(df=g.groupby("h")["h"].transform("size"))
 
-    with_df = bucket_exchange(rows, h_bucket, attach_df)
+    with_df = bucket_exchange(rows, "h", attach_df)
 
     # prefix per set: rarest-first (df, h) order, length s - ceil(ts) + 1
     def prefix(g: pd.DataFrame) -> pd.DataFrame:
@@ -1966,9 +1955,7 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
         keep = g.groupby("doc_id").cumcount().to_numpy() < p
         return g.loc[keep, ["h", "doc_id", "size"]]
 
-    prefixes = bucket_exchange(
-        with_df, lambda df: key_buckets(df, ["doc_id"], N_BUCKETS), prefix
-    )
+    prefixes = bucket_exchange(with_df, "doc_id", prefix)
 
     # candidates: sets sharing a prefix shingle, length-filtered — each
     # pair once, in (size, doc_id) order (lo, hi), kept when the size
@@ -1989,7 +1976,7 @@ def doc_jaccard_join(sf_dir: str, threshold_pct: int = 60) -> ray.data.Dataset:
         ).drop_duplicates()
 
     cands = bucketed_drop_duplicates(
-        bucket_exchange(prefixes, h_bucket, candidates), ["doc_a", "doc_b"]
+        bucket_exchange(prefixes, "h", candidates), ["doc_a", "doc_b"]
     )
 
     # verification: attach doc_a's shingle blob to each candidate, then
@@ -2403,8 +2390,8 @@ def doc_pack_sequences(
     rows — driver-scale under the precondition; raise ``bucket_rows``
     for bigger corpora) come back to the driver for one cumulative sum, and
     the broadcast offsets let each bucket finish its docs independently:
-    global prefix = bucket offset + within-bucket cumsum. One groupby
-    shuffle of int64 triples; text is read and tokenized exactly once.
+    global prefix = bucket offset + within-bucket cumsum. One keyed
+    exchange of int64 triples; text is read and tokenized exactly once.
     """
 
     def toks(batch: pa.Table) -> pa.Table:
@@ -2448,20 +2435,11 @@ def doc_pack_sequences(
             }
         )
 
-    # Bound the groupby shuffle's output-partition count by the number
-    # of distinct buckets actually present (known from the driver-side
-    # offsets pass): the sort shuffle emits one partition per input
-    # block, and partitions with no keys become schema-less empty
-    # blocks (executor "RefBundle with a different schema" noise). At
-    # scale num_blocks <= n_buckets and this is a no-op.
-    n_parts = max(1, min(len(bdf), counts.num_blocks()))
-    if counts.num_blocks() > n_parts:
-        counts = counts.repartition(n_parts)
-    return (
-        counts.groupby("bucket")
-        .map_groups(finish, batch_format="pandas")
-        .sort("doc_id")
-    )
+    # ``finish`` reads its bucket's offset with iloc[0]: one call per
+    # bucket, many buckets per shuffle block
+    from ..stages.cogroup import bucketed_map_groups
+
+    return bucketed_map_groups(counts, "bucket", finish).sort("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -2484,12 +2462,13 @@ def doc_chunk_dedup(sf_dir: str, chunk: int = 8) -> ray.data.Dataset:
     all-integer, so the DuckDB oracle is hash-exact.
 
     Scale plan: only (doc_id, idx, h) triples cross the wire (unit
-    text never leaves the map stage); keeper election shuffles on
-    ``h % n_buckets`` (all copies of a unit co-locate by construction);
-    per-doc re-aggregation shuffles partials on ``doc_id % n_buckets``.
-    Both shuffles carry O(corpus tokens / chunk) fixed-width rows.
+    text never leaves the map stage); keeper election is a keyed
+    exchange on ``h`` (all copies of a unit co-locate by construction);
+    per-doc re-aggregation exchanges partials on ``doc_id``. Both
+    exchanges carry O(corpus tokens / chunk) fixed-width rows.
     """
-    n_buckets = 512
+    from ..stages.cogroup import bucket_exchange
+
     M = (1 << 61) - 1
 
     def explode(batch: pa.Table) -> pd.DataFrame:
@@ -2508,18 +2487,16 @@ def doc_chunk_dedup(sf_dir: str, chunk: int = 8) -> ray.data.Dataset:
                 doc_ids.append(doc_id)
                 idxs.append(i)
                 hs.append(h)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": pd.Series(doc_ids, dtype=np.int64),
                 "idx": pd.Series(idxs, dtype=np.int64),
                 "h": pd.Series(hs, dtype=np.uint64),
             }
         )
-        df["_hb"] = (df["h"] % np.uint64(n_buckets)).astype(np.int64)
-        return df
 
     def elect(g: pd.DataFrame) -> pd.DataFrame:
-        """Per h-bucket: mark corpus-first (doc_id, idx) per hash, then
+        """Per shuffle block: mark corpus-first (doc_id, idx) per hash, then
         fold per-doc partials (n_chunks / n_kept / modular hash sum).
 
         The modular sum is vectorized via a 32-bit split: Σ(h mod M)
@@ -2542,16 +2519,10 @@ def doc_chunk_dedup(sf_dir: str, chunk: int = 8) -> ray.data.Dataset:
                 "sum_hi": hi,
             }
         )
-        out = part.groupby("doc_id", as_index=False, sort=False).sum()
-        out["_db"] = (
-            out["doc_id"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return out
+        return part.groupby("doc_id", as_index=False, sort=False).sum()
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.drop(columns=["_db"]).groupby(
-            "doc_id", as_index=False, sort=True
-        ).sum()
+        tot = g.groupby("doc_id", as_index=False, sort=True).sum()
         khm = [
             ((int(hi) << 32) + int(lo)) % M
             for lo, hi in zip(tot["sum_lo"], tot["sum_hi"])
@@ -2567,10 +2538,9 @@ def doc_chunk_dedup(sf_dir: str, chunk: int = 8) -> ray.data.Dataset:
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
     exploded = ds.map_batches(explode, batch_format="pyarrow")
-    partials = exploded.groupby("_hb").map_groups(
-        elect, batch_format="pandas"
+    return bucket_exchange(
+        bucket_exchange(exploded, "h", elect), "doc_id", finish
     )
-    return partials.groupby("_db").map_groups(finish, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -2588,11 +2558,11 @@ def doc_repeated_ngrams(sf_dir: str, n: int = 3, min_docs: int = 5) -> ray.data.
     Scale plan: the map stage dedupes grams WITHIN each doc and then
     combines per block (docs never span blocks, so a per-block count
     per gram is a partial distinct-doc count — no (gram, doc) pair
-    list ever crosses the shuffle); partials shuffle on
-    ``gram_h % n_buckets`` and a vectorized pandas sum finishes each
-    bucket. The exchange carries O(distinct grams per block) rows.
+    list ever crosses the shuffle); partials exchange on ``gram_h``
+    and a vectorized pandas sum finishes each shuffle block. The
+    exchange carries O(distinct grams per block) rows.
     """
-    n_buckets = 512
+    from ..stages.cogroup import bucket_exchange
 
     def explode(batch: pa.Table) -> pd.DataFrame:
         counts: dict = {}
@@ -2611,16 +2581,14 @@ def doc_repeated_ngrams(sf_dir: str, n: int = 3, min_docs: int = 5) -> ray.data.
             dtype=np.uint64,
             count=len(counts),
         )
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "gram_h": hs,
                 "n_docs": pd.Series(list(counts.values()), dtype=np.int64),
             }
         )
-        df["_hb"] = (df["gram_h"] % np.uint64(n_buckets)).astype(np.int64)
-        return df
 
-    def reduce_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def reduce_block(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("gram_h", as_index=False, sort=False)["n_docs"].sum()
         out = out[out["n_docs"] >= min_docs]
         return pd.DataFrame(
@@ -2631,10 +2599,8 @@ def doc_repeated_ngrams(sf_dir: str, n: int = 3, min_docs: int = 5) -> ray.data.
         )
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return (
-        ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("_hb")
-        .map_groups(reduce_bucket, batch_format="pandas")
+    return bucket_exchange(
+        ds.map_batches(explode, batch_format="pyarrow"), "gram_h", reduce_block
     )
 
 
@@ -2655,17 +2621,15 @@ def doc_tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
 
     Scale plan: one map emits per-(doc, token) tf rows (token text
     never crosses the wire — only its hash); the DF count and the
-    df-attach are ONE co-group on ``term_h % n_buckets`` (all rows of a
-    token co-locate, so the bucket kernel counts df and joins it back
-    in-place — no separate join shuffle); the per-doc argmax shuffles
-    on ``doc_id % n_buckets``. N comes from parquet row-count metadata
-    (a driver-side scalar, exact and free).
+    df-attach are ONE keyed exchange on ``term_h`` (all rows of a token
+    co-locate, so the block kernel counts df and joins it back
+    in-place — no separate join shuffle); the per-doc argmax exchanges
+    on ``doc_id``. N comes from parquet row-count metadata (a
+    driver-side scalar, exact and free).
     """
     import pyarrow.parquet as pq_meta
 
-    from ..stages.cogroup import cogroup
-
-    n_buckets = 512
+    from ..stages.cogroup import bucket_exchange
 
     n_total = pq_meta.read_metadata(
         os.path.join(sf_dir, "documents.parquet")
@@ -2687,22 +2651,20 @@ def doc_tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
                     int.from_bytes(hashlib.md5(t.encode()).digest()[8:], "little")
                 )
                 tfs.append(c)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": pd.Series(doc_ids, dtype=np.int64),
                 "term_h": pd.Series(hs, dtype=np.uint64),
                 "tf": pd.Series(tfs, dtype=np.int64),
             }
         )
-        df["_hb"] = (df["term_h"] % np.uint64(n_buckets)).astype(np.int64)
-        return df
 
     def attach_df(g: pd.DataFrame) -> pd.DataFrame:
-        """Per h-bucket: df = rows per term (rows are unique per
+        """Per shuffle block: df = rows per term (rows are unique per
         (doc, term) by construction), attached vectorized."""
         dfc = g.groupby("term_h")["term_h"].transform("size").to_numpy()
         idf_milli = (np.int64(n_total) * 1000) // dfc.astype(np.int64)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].to_numpy(),
                 "term_h": g["term_h"].to_numpy(),
@@ -2711,10 +2673,6 @@ def doc_tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
                 "score": g["tf"].to_numpy() * idf_milli,
             }
         )
-        out["_db"] = (
-            out["doc_id"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return out
 
     def argmax_per_doc(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(
@@ -2734,13 +2692,10 @@ def doc_tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
         )
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    return (
-        ds.map_batches(tf_rows, batch_format="pyarrow")
-        .groupby("_hb")
-        .map_groups(attach_df, batch_format="pandas")
-        .groupby("_db")
-        .map_groups(argmax_per_doc, batch_format="pandas")
+    with_df = bucket_exchange(
+        ds.map_batches(tf_rows, batch_format="pyarrow"), "term_h", attach_df
     )
+    return bucket_exchange(with_df, "doc_id", argmax_per_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -3362,15 +3317,12 @@ def doc_lm_surprise(sf_dir: str) -> ray.data.Dataset:
     Scale plan (the tfidf pattern with two attaches): one map emits
     per-(doc, bigram) multiplicity rows carrying both hashes — token
     text never crosses the wire; the bigram count and its attach are
-    ONE co-group on ``hb % n_buckets`` (every occurrence of a bigram
-    co-locates, so the bucket kernel counts and joins in place);
-    likewise the prefix-unigram count on ``h1 % n_buckets``; the
-    per-doc fold is a ``cogroup`` of the docs and the integer partials
-    on doc_id.
+    ONE keyed exchange on ``hb`` (every occurrence of a bigram
+    co-locates, so the block kernel counts and joins in place);
+    likewise the prefix-unigram count on ``h1``; the per-doc fold is a
+    ``cogroup`` of the docs and the integer partials on doc_id.
     """
-    from ..stages.cogroup import cogroup
-
-    n_buckets = 512
+    from ..stages.cogroup import bucket_exchange, cogroup
 
     def explode(batch: pa.Table) -> pd.DataFrame:
         doc_ids, h1s, hbs, ms = [], [], [], []
@@ -3399,7 +3351,7 @@ def doc_lm_surprise(sf_dir: str) -> ray.data.Dataset:
                     )
                 )
                 ms.append(m)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": pd.Series(doc_ids, dtype=np.int64),
                 "h1": pd.Series(h1s, dtype=np.uint64),
@@ -3407,15 +3359,10 @@ def doc_lm_surprise(sf_dir: str) -> ray.data.Dataset:
                 "m": pd.Series(ms, dtype=np.int64),
             }
         )
-        df["_bb"] = (df["hb"] % np.uint64(n_buckets)).astype(np.int64)
-        return df
 
     def attach_bigram_count(g: pd.DataFrame) -> pd.DataFrame:
         cb = g.groupby("hb")["m"].transform("sum").to_numpy()
-        out = g.drop(columns=["_bb"]).copy()
-        out["cb"] = cb.astype(np.int64)
-        out["_ub"] = (out["h1"] % np.uint64(n_buckets)).astype(np.int64)
-        return out
+        return g.assign(cb=cb.astype(np.int64))
 
     def attach_prefix_count(g: pd.DataFrame) -> pd.DataFrame:
         cu = g.groupby("h1")["m"].transform("sum").to_numpy()
@@ -3434,13 +3381,13 @@ def doc_lm_surprise(sf_dir: str) -> ray.data.Dataset:
     # The per-doc fold and the short-doc join-back are ONE co-group on
     # doc_id: each bucket sums its partials per doc and looks them up
     # for every doc, zero for docs without bigrams.
-    partials = (
-        _read(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("_bb")
-        .map_groups(attach_bigram_count, batch_format="pandas")
-        .groupby("_ub")
-        .map_groups(attach_prefix_count, batch_format="pandas")
+    bigrams = _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
+        explode, batch_format="pyarrow"
+    )
+    partials = bucket_exchange(
+        bucket_exchange(bigrams, "hb", attach_bigram_count),
+        "h1",
+        attach_prefix_count,
     )
 
     def fold(f: dict):
@@ -3663,10 +3610,10 @@ def doc_dup_span_stats(sf_dir: str, window: int = 8) -> ray.data.Dataset:
     Scale plan: only (doc_id, h) pairs cross the wire (O(corpus token
     positions) fixed-width rows — the suffix-array equivalent without
     the global sort); corpus-wide occurrence counts and the dup-mark
-    attach are ONE co-group on ``h % n_buckets``; the per-doc fold
-    shuffles integer partials on ``doc_id % n_buckets``.
+    attach are ONE keyed exchange on ``h``; the per-doc fold exchanges
+    integer partials on ``doc_id``.
     """
-    n_buckets = 512
+    from ..stages.cogroup import bucket_exchange
 
     def explode(batch: pa.Table) -> pd.DataFrame:
         doc_ids, hs, wins = [], [], []
@@ -3690,36 +3637,28 @@ def doc_dup_span_stats(sf_dir: str, window: int = 8) -> ray.data.Dataset:
                     )
                 )
                 wins.append(1)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": pd.Series(doc_ids, dtype=np.int64),
                 "h": pd.Series(hs, dtype=np.uint64),
                 "win": pd.Series(wins, dtype=np.int64),
             }
         )
-        df["_hb"] = (df["h"] % np.uint64(n_buckets)).astype(np.int64)
-        return df
 
     def mark(g: pd.DataFrame) -> pd.DataFrame:
         # occurrence count over WINDOW rows only (sentinels sum 0)
         tot = g.groupby("h")["win"].transform("sum").to_numpy()
         win = g["win"].to_numpy()
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].to_numpy(),
                 "n_windows": win.astype(np.int64),
                 "n_dup": ((tot >= 2) & (win == 1)).astype(np.int64),
             }
         )
-        out["_db"] = (
-            out["doc_id"].to_numpy().astype(np.uint64) % np.uint64(n_buckets)
-        ).astype(np.int64)
-        return out
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.drop(columns=["_db"]).groupby(
-            "doc_id", as_index=False, sort=True
-        ).sum()
+        tot = g.groupby("doc_id", as_index=False, sort=True).sum()
         nw = tot["n_windows"].to_numpy(dtype=np.int64)
         nd = tot["n_dup"].to_numpy(dtype=np.int64)
         return pd.DataFrame(
@@ -3731,15 +3670,12 @@ def doc_dup_span_stats(sf_dir: str, window: int = 8) -> ray.data.Dataset:
             }
         )
 
-    return (
-        _read(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("_hb")
-        .map_groups(mark, batch_format="pandas")
-        .groupby("_db")
-        .map_groups(fold, batch_format="pandas")
-        .sort("doc_id")
+    windows = _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
+        explode, batch_format="pyarrow"
     )
+    return bucket_exchange(
+        bucket_exchange(windows, "h", mark), "doc_id", fold
+    ).sort("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -3768,13 +3704,13 @@ def doc_incremental_dedup(sf_dir: str, new_mod: int = 5) -> ray.data.Dataset:
     copies of a modified text at ``+20_000_000`` / ``+21_000_000``
     (→ one admitted, one dup_incoming).
 
-    Scale plan: a hash ANTI-JOIN as one bucketed co-group — both sides
+    Scale plan: a hash ANTI-JOIN as one keyed exchange — both sides
     reduce to (md5, min doc_id / presence) per block first, so only
-    per-block distinct hashes cross the ``md5 % n_buckets`` shuffle;
-    the kernel resolves presence + first-copy in one vectorized pass.
-    No text leaves the map stage.
+    per-block distinct hashes cross the exchange on ``text_md5``; the
+    kernel resolves presence + first-copy in one vectorized pass. No
+    text leaves the map stage.
     """
-    n_buckets = 512
+    from ..stages.cogroup import bucket_exchange
 
     def sides(batch: pa.Table) -> pd.DataFrame:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3807,15 +3743,9 @@ def doc_incremental_dedup(sf_dir: str, new_mod: int = 5) -> ray.data.Dataset:
         ex = df[df["is_new"] == 0][["text_md5"]].drop_duplicates()
         ex = ex.assign(doc_id=np.int64(-1), is_new=np.int8(0))
         new = df[df["is_new"] == 1]
-        out = pd.concat(
+        return pd.concat(
             [new[["doc_id", "text_md5", "is_new"]], ex], ignore_index=True
         )
-        h = np.frombuffer(
-            b"".join(bytes.fromhex(m[:16]) for m in out["text_md5"]),
-            dtype=np.uint64,
-        )
-        out["_hb"] = (h % np.uint64(n_buckets)).astype(np.int64)
-        return out
 
     def resolve(g: pd.DataFrame) -> pd.DataFrame:
         existing = set(g[g["is_new"] == 0]["text_md5"])
@@ -3844,13 +3774,10 @@ def doc_incremental_dedup(sf_dir: str, new_mod: int = 5) -> ray.data.Dataset:
             }
         )
 
-    return (
-        _read(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(sides, batch_format="pyarrow")
-        .groupby("_hb")
-        .map_groups(resolve, batch_format="pandas")
-        .sort("doc_id")
+    rows = _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
+        sides, batch_format="pyarrow"
     )
+    return bucket_exchange(rows, "text_md5", resolve).sort("doc_id")
 
 
 # ---------------------------------------------------------------------------
@@ -3871,15 +3798,13 @@ def doc_cluster_top_terms(sf_dir: str) -> ray.data.Dataset:
     (assignment rows and tf rows co-locate; no broadcast — the
     assignment is corpus-scale); df count, per-(cluster, term)
     totals AND the per-cluster local argmax all happen inside ONE
-    co-group on ``term_h % n_buckets`` (every row of a term co-locates,
-    so its (cluster, term) totals are complete in-bucket), leaving ≤
-    buckets × k candidate rows for a single-task final argmax.
+    keyed exchange on ``term_h`` (every row of a term co-locates, so
+    its (cluster, term) totals are complete in-block), leaving ≤
+    blocks × k candidate rows for a single-task final argmax.
     """
     import pyarrow.parquet as pq_meta
 
-    from ..stages.cogroup import cogroup
-
-    n_buckets = 512
+    from ..stages.cogroup import bucket_exchange, cogroup
 
     n_total = pq_meta.read_metadata(
         os.path.join(sf_dir, "documents.parquet")
@@ -3918,17 +3843,14 @@ def doc_cluster_top_terms(sf_dir: str) -> ray.data.Dataset:
                     "term_h": pd.Series([], dtype=np.uint64),
                     "tf": pd.Series([], dtype=np.int64),
                     "cluster": pd.Series([], dtype=np.int64),
-                    "_tb": pd.Series([], dtype=np.int64),
                 }
             )
         amap = f["asg"][["doc_id", "cluster"]].drop_duplicates("doc_id")
-        out = f["tf"].merge(amap, on="doc_id")[["term_h", "tf", "cluster"]]
-        out["_tb"] = (out["term_h"] % np.uint64(n_buckets)).astype(np.int64)
-        return out
+        return f["tf"].merge(amap, on="doc_id")[["term_h", "tf", "cluster"]]
 
-    def per_term_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_term_block(g: pd.DataFrame) -> pd.DataFrame:
         # df per term = rows per term (rows unique per (doc, term)),
-        # complete in-bucket; then (cluster, term) totals and the
+        # complete in-block; then (cluster, term) totals and the
         # per-cluster LOCAL argmax
         dfc = g.groupby("term_h")["term_h"].transform("size").to_numpy()
         g = g.assign(df=dfc.astype(np.int64))
@@ -3972,14 +3894,13 @@ def doc_cluster_top_terms(sf_dir: str) -> ray.data.Dataset:
         return df[~df["cluster"].duplicated()].reset_index(drop=True)
 
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
+    tf = cogroup(
+        {"tf": docs.map_batches(tf_rows, batch_format="pyarrow"), "asg": asg},
+        "doc_id",
+        attach_cluster,
+    )
     return (
-        cogroup(
-            {"tf": docs.map_batches(tf_rows, batch_format="pyarrow"), "asg": asg},
-            "doc_id",
-            attach_cluster,
-        )
-        .groupby("_tb")
-        .map_groups(per_term_bucket, batch_format="pandas")
+        bucket_exchange(tf, "term_h", per_term_block)
         .repartition(1)
         .map_batches(final, batch_format="pandas", batch_size=None)
         .sort("cluster")
@@ -4135,16 +4056,15 @@ def doc_inverted_index(sf_dir: str) -> ray.data.Dataset:
     Emits (term, term_h = md5_u64(term), df, total_tf, postings).
 
     Scale plan: the output of an index build is inherently
-    term-partitioned and of corpus-token magnitude, so the ONE shuffle
-    here moves per-(doc, term) tf rows onto ``term_h % n_buckets``
-    buckets where the whole per-term aggregation (df count, tf sum,
-    postings concat) happens in a single co-located kernel; at 100 TB
-    each bucket writes its own parquet shard (hive-partitioned by
-    bucket) so the index lands sharded-by-term-hash with no second
-    pass. Postings are ordered by doc_id inside the bucket kernel,
-    making the output byte-deterministic.
+    term-partitioned and of corpus-token magnitude, so the ONE keyed
+    exchange here moves per-(doc, term) tf rows onto ``term_h`` where
+    the whole per-term aggregation (df count, tf sum, postings concat)
+    happens in a single co-located kernel per shuffle block; at 100 TB
+    each block writes its own parquet shard so the index lands
+    sharded-by-term-hash with no second pass. Postings are ordered by
+    doc_id inside the kernel, making the output byte-deterministic.
     """
-    n_buckets = 256
+    from ..stages.cogroup import bucket_exchange
 
     def tf_rows(batch: pa.Table) -> pd.DataFrame:
         doc_ids: list = []
@@ -4176,10 +4096,9 @@ def doc_inverted_index(sf_dir: str) -> ray.data.Dataset:
             count=len(terms),
         )
         df["term_h"] = pd.Series(hs, dtype=np.uint64)
-        df["_tb"] = (hs % np.uint64(n_buckets)).astype(np.int64)
         return df
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def per_block(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty:
             return pd.DataFrame(
                 {
@@ -4208,13 +4127,10 @@ def doc_inverted_index(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        _read(sf_dir, "documents", columns=["doc_id", "text"])
-        .map_batches(tf_rows, batch_format="pyarrow")
-        .groupby("_tb")
-        .map_groups(per_bucket, batch_format="pandas")
-        .sort("term_h")
+    rows = _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
+        tf_rows, batch_format="pyarrow"
     )
+    return bucket_exchange(rows, "term_h", per_block).sort("term_h")
 
 
 # ---------------------------------------------------------------------------
@@ -4242,14 +4158,13 @@ def doc_term_cms(
 
     Scale plan: pass 1 ships only nonzero sketch cells (<= d·w per
     block) to the driver — no corpus-scale shuffle; pass 2's distinct
-    terms are vocabulary-scale on a ``term_h % n_buckets`` co-group.
+    terms are vocabulary-scale on a keyed exchange on ``term_h``.
     The sketch answers the "what are the boilerplate mega-terms"
     question in O(d·w) memory where an exact count would need a
     vocabulary-scale table per worker.
     """
     mask = np.uint64(0xFFFFFFFF)
     js = np.arange(d, dtype=np.uint64)
-    n_buckets = 256
 
     def _cols(hs: np.ndarray) -> np.ndarray:
         """(len(hs), d) int64 flattened cell indices (j*w + col_j)."""
@@ -4314,14 +4229,10 @@ def doc_term_cms(
             {
                 "term": pd.Series(terms, dtype=object),
                 "term_h": pd.Series(hs, dtype=np.uint64),
-                "_tb": pd.Series(
-                    (hs % np.uint64(n_buckets)).astype(np.int64),
-                    dtype=np.int64,
-                ),
             }
         )
 
-    def probe_bucket(g: pd.DataFrame) -> pd.DataFrame:
+    def probe_block(g: pd.DataFrame) -> pd.DataFrame:
         sk = ray.get(cms_ref)  # plasma-local, zero-copy
         g = g.drop_duplicates("term")
         if g.empty:
@@ -4345,13 +4256,12 @@ def doc_term_cms(
             }
         )
 
-    return (
-        _read(sf_dir, "documents", columns=["text"])
-        .map_batches(distinct_terms, batch_format="pyarrow")
-        .groupby("_tb")
-        .map_groups(probe_bucket, batch_format="pandas")
-        .sort("term_h")
+    from ..stages.cogroup import bucket_exchange
+
+    terms = _read(sf_dir, "documents", columns=["text"]).map_batches(
+        distinct_terms, batch_format="pyarrow"
     )
+    return bucket_exchange(terms, "term_h", probe_block).sort("term_h")
 
 
 # ---------------------------------------------------------------------------

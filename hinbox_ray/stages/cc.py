@@ -8,14 +8,11 @@ component's minimum node id. This is the north rule's
 "connected-components union-find over candidate-pair batches": no
 driver-side state, arbitrary component sizes, deterministic output.
 
-Physical plan obeys the engine-wide bucketed-grouping invariant: each
-half-round shuffles on ``u % n_buckets`` (O(n_buckets) Ray groups, never
-one per node — Ray pays ~0.4 ms fixed cost per map_groups group, which
-at a 10^7-node vocabulary × ~10 rounds would dominate the job), and the
-per-node star kernels are evaluated *vectorized* inside the bucket task
-via a single pandas groupby-transform — no per-node Python loop at all.
-Correctness is unchanged: the bucket is a function of the group key, so
-all edges of a node land in one bucket task.
+Physical plan: each half-round is one ``bucket_exchange`` keyed on
+``u`` (``stages/cogroup.py``), and the per-node star kernels run
+*vectorized* once per shuffle block via a pandas groupby-transform —
+no Ray group and no Python loop per node. Exact because every edge of
+a node lands in the same block.
 
 Edges are materialized between rounds (they are small — bounded by the
 blocking stage's per-block caps) so each round's shuffle does not replay
@@ -32,9 +29,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 import pandas as pd
-
-N_BUCKETS = 512
-
 
 def _local_contract(df: pd.DataFrame) -> pd.DataFrame:
     """Per-block union-find combiner: replace a block's edge set with its
@@ -72,31 +66,29 @@ def _local_contract(df: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"u": us[m], "v": vs[m]})
 
 
-def _contract_symmetrize_bucket(df: pd.DataFrame, n_buckets: int) -> pd.DataFrame:
+def _contract_symmetrize(df: pd.DataFrame) -> pd.DataFrame:
     """Round-opening combiner: per-block union-find contraction (round-4:
     run EVERY round, not just once before the loop — each round's output
     blocks hold partially-overlapping stars that a local O(E·α) pass
     merges for free, cutting whole shuffle rounds) fused with the
-    symmetrize + bucket-key map that feeds the large-star shuffle."""
+    symmetrize map that feeds the large-star exchange."""
     df = _local_contract(df)
     u = pd.concat([df["u"], df["v"]], ignore_index=True).to_numpy(dtype=np.int64)
     v = pd.concat([df["v"], df["u"]], ignore_index=True).to_numpy(dtype=np.int64)
-    return pd.DataFrame({"u": u, "v": v, "_b": u % np.int64(n_buckets)})
+    return pd.DataFrame({"u": u, "v": v})
 
 
-def _large_star_bucket(g: pd.DataFrame, n_buckets: int) -> pd.DataFrame:
-    """Vectorized large-star over one bucket of symmetrized edges.
+def _large_star(g: pd.DataFrame) -> pd.DataFrame:
+    """Vectorized large-star over one shuffle block of symmetrized edges.
 
     Per node u: m = min(min(neighbors), u); emit (b → m) for every
     neighbor b > u. The per-node min is a groupby-transform; duplicate
-    emissions collapse in the in-bucket drop_duplicates (exact for
-    same-u duplicates since the bucket is a function of u; cross-u
+    emissions collapse in the in-block drop_duplicates (exact for
+    same-u duplicates since all of u's edges share a block; cross-u
     duplicates are transient multi-edges, bounded as in Kiveris Alg. 2).
 
-    Output rows are max→min oriented BY CONSTRUCTION (b > u ≥ m), so the
-    small-star shuffle key ``_b = u % n_buckets`` is emitted here
-    directly — the separate orient map pass each round cost one full
-    pandas frame rebuild per group (round-3 VERDICT #5).
+    Output rows are max→min oriented BY CONSTRUCTION (b > u ≥ m), so
+    they feed the small-star exchange on ``u`` with no orient pass.
     """
     u = g["u"].to_numpy(dtype=np.int64)
     v = g["v"].to_numpy(dtype=np.int64)
@@ -105,13 +97,12 @@ def _large_star_bucket(g: pd.DataFrame, n_buckets: int) -> pd.DataFrame:
     )
     mask = v > u
     out = pd.DataFrame({"u": v[mask], "v": m[mask]})
-    out = out[out["u"] != out["v"]].drop_duplicates()
-    out["_b"] = out["u"].to_numpy() % np.int64(n_buckets)
-    return out
+    return out[out["u"] != out["v"]].drop_duplicates()
 
 
-def _small_star_bucket(g: pd.DataFrame) -> pd.DataFrame:
-    """Vectorized small-star over one bucket of max→min-oriented edges.
+def _small_star(g: pd.DataFrame) -> pd.DataFrame:
+    """Vectorized small-star over one shuffle block of max→min-oriented
+    edges.
 
     Per node u (u > every neighbor): m = min(neighbors); emit (b → m)
     for each neighbor b ≠ m, plus the center edge (u → m).
@@ -171,7 +162,6 @@ def connected_components(
     *,
     max_rounds: int = 24,
     small_edge_threshold: int = 200_000,
-    n_buckets: int | None = None,
     driver_finish_threshold: int | None = None,
 ):
     """edges(u:int64, v:int64) → Dataset(node_id:int64, component:int64).
@@ -232,40 +222,21 @@ def connected_components(
     # half-round (Kiveris et al. Alg. 2). Unioning with the previous
     # round's edges — the naive reading — accumulates stale edges and
     # explodes on dense graphs (a 2k-node random graph ran out of
-    # memory before converging). In-bucket drop_duplicates bounds
+    # memory before converging). In-block drop_duplicates bounds
     # transient multi-edges without a global dedup shuffle; the
     # converged star forest is duplicate-free, so the checksum settles.
-    #
-    # Round-4 (VERDICT #5) shape: each round opens with a per-block
-    # union-find combiner fused into the symmetrize map, the orient map
-    # is gone (large-star output is max→min by construction and emits
-    # its own shuffle key), and the bucket count re-adapts to the
-    # current edge count each round — edge sets shrink ~10× per round,
-    # so a fixed bucket count pays empty-group scheduling latency in
-    # every late round. Caller-supplied ``n_buckets`` wins everywhere.
+    from .cogroup import bucket_exchange
+
     prev_n, prev_sig = -1, None
-    round_buckets = n_buckets
     for _ in range(max_rounds):
-        if n_buckets is None:
-            round_buckets = int(min(N_BUCKETS, max(8, n_cur // 25_000)))
-        large = (
+        large = bucket_exchange(
             edges.map_batches(
-                _contract_symmetrize_bucket,
-                fn_args=(round_buckets,),
-                batch_format="pandas",
-                batch_size=None,
-            )
-            .groupby("_b")
-            .map_groups(
-                _large_star_bucket,
-                fn_args=(round_buckets,),
-                batch_format="pandas",
-            )
+                _contract_symmetrize, batch_format="pandas", batch_size=None
+            ),
+            "u",
+            _large_star,
         )
-        small = large.groupby("_b").map_groups(
-            _small_star_bucket, batch_format="pandas"
-        )
-        edges = small.materialize()
+        edges = bucket_exchange(large, "u", _small_star).materialize()
         n_cur = edges.count()
         if 0 < n_cur <= driver_finish_threshold:
             return _driver_finish(edges)
@@ -282,9 +253,7 @@ def connected_components(
             prev_sig = None
         prev_n = n_cur
 
-    # converged star forest: (child → root) plus root self-rows
-    final_buckets = int(round_buckets or 32)
-
+    # converged star forest: (child → root) plus one self-row per root
     def to_mapping(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
             {
@@ -293,27 +262,13 @@ def connected_components(
             }
         )
 
-    def root_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["v"].to_numpy(dtype=np.int64)
-        return pd.DataFrame({"v": v, "_b": v % np.int64(final_buckets)})
-
     def roots_distinct(g: pd.DataFrame) -> pd.DataFrame:
         r = g["v"].drop_duplicates().to_numpy(dtype=np.int64)
         return pd.DataFrame({"node_id": r, "component": r})
 
     children = edges.map_batches(to_mapping, batch_format="pandas")
-    # distinct roots via the same bucketed shuffle (bucket is a function
-    # of v, so per-bucket dedup is globally exact) — never one Ray group
-    # per root.
-    roots = (
-        edges.map_batches(root_bucket, batch_format="pandas")
-        .groupby("_b")
-        .map_groups(roots_distinct, batch_format="pandas")
-    )
-    # repartition: groupby rounds leave many schema-less empty blocks
-    # which break downstream hash joins (pyarrow needs the key column in
-    # every block); coalescing also rightsizes this vocab-scale table.
-    return children.union(roots).repartition(8)
+    roots = bucket_exchange(edges.select_columns(["v"]), "v", roots_distinct)
+    return children.union(roots)
 
 
 def components_driver(edges_ds) -> Dict[int, int]:

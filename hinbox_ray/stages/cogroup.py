@@ -50,9 +50,13 @@ Measured negatives (same probe setup):
   3.65–3.73 s against 0.66–0.69 s for one call per block (1-core VM,
   Ray num_cpus=4).
 
-``bucket_exchange``, ``bucketed_map_groups`` and
-``bucketed_drop_duplicates`` are the one-sided exchanges of the dedup,
-textops and resolution paths.
+``bucket_exchange(ds, keys, kernel)`` is the one one-sided exchange:
+every keyed grouping in the package outside Ray-native
+``groupby().aggregate`` goes through it, directly or via
+``bucketed_map_groups`` (one kernel call per key, for kernels that
+read their key with ``iloc[0]``) and ``bucketed_drop_duplicates``. No
+module calls ``Dataset.groupby(...).map_groups``, and no module but
+this one computes a shuffle bucket (``tests/test_structure.py``).
 """
 
 from __future__ import annotations
@@ -82,17 +86,18 @@ def key_buckets(df: pd.DataFrame, key_cols, n_buckets: int) -> np.ndarray:
     return (h % np.uint64(n_buckets)).astype(np.int64)
 
 
-def bucket_exchange(ds, bucket_of, kernel):
-    """One-sided sort-shuffle grouping: coalesce ``ds`` by rows, tag
-    each row with ``_gbucket = bucket_of(frame)``, sort on it and run
-    ``kernel`` once per non-empty output block on that block's rows
-    (``_gbucket`` dropped). Every bucket, hence every key that
-    determines its bucket, lies whole in one block; a block holds many
+def bucket_exchange(ds, keys, kernel):
+    """One-sided sort-shuffle grouping on ``keys`` (one column or a
+    list): coalesce ``ds`` by rows, tag each row with its
+    ``key_buckets`` bucket, sort on it and run ``kernel`` once per
+    non-empty output block on that block's rows (the bucket column
+    dropped). Every key lies whole in one block; a block holds many
     keys (module docstring)."""
+    key_list = _key_list(keys)
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
-        df["_gbucket"] = bucket_of(df)
+        df["_gbucket"] = key_buckets(df, key_list, N_BUCKETS)
         return df
 
     def run(df: pd.DataFrame):
@@ -109,19 +114,13 @@ def bucket_exchange(ds, bucket_of, kernel):
 
 
 def bucketed_map_groups(ds, keys, kernel):
-    """``groupby(keys).map_groups(kernel)`` without one Ray group per
-    key.
-
-    Ray's map_groups pays ~0.4 ms fixed scheduling cost per group; over
-    a vocabulary-scale key space (most groups tiny) that fixed cost IS
-    the stage — measured 186 s for 30k docs on the minhash band path
-    before the same fix. Shuffling on a hash bucket of the key keeps
-    the exchange identical (all rows of a key co-locate) while the
-    per-key grouping happens inside each block's task with pandas.
-    Exactness is preserved: bucket(key) is a function of the key, so
-    no key spans two blocks.
-    """
-    key_list = [keys] if isinstance(keys, str) else list(keys)
+    """One ``kernel`` call per key, as Ray's per-group ``map_groups``
+    makes, without one Ray group per key: ``bucket_exchange`` on
+    ``keys``, then a pandas groupby inside each block's task. For
+    kernels that read one key per call (``g[key].iloc[0]``); a kernel
+    that groups on its key itself should go to ``bucket_exchange``
+    directly."""
+    key_list = _key_list(keys)
 
     def run_block(g: pd.DataFrame) -> pd.DataFrame:
         outs = [
@@ -130,9 +129,7 @@ def bucketed_map_groups(ds, keys, kernel):
         ]
         return pd.concat(outs, ignore_index=True)
 
-    return bucket_exchange(
-        ds, lambda df: key_buckets(df, key_list, N_BUCKETS), run_block
-    )
+    return bucket_exchange(ds, key_list, run_block)
 
 
 def bucketed_drop_duplicates(ds, dedup_cols, *, bucket_cols=None):
@@ -144,15 +141,9 @@ def bucketed_drop_duplicates(ds, dedup_cols, *, bucket_cols=None):
     DETERMINED BY the dedup key — a subset of it, or a function of it
     (e.g. bucketing on (entity_id, salt) where salt = f(url) is valid
     for dedup on (entity_id, url))."""
-    bucket_cols = list(bucket_cols or (
-        [dedup_cols] if isinstance(dedup_cols, str) else dedup_cols
-    ))
-    dd_cols = [dedup_cols] if isinstance(dedup_cols, str) else list(dedup_cols)
-
+    dd_cols = _key_list(dedup_cols)
     return bucket_exchange(
-        ds,
-        lambda df: key_buckets(df, bucket_cols, N_BUCKETS),
-        lambda g: g.drop_duplicates(dd_cols),
+        ds, bucket_cols or dd_cols, lambda g: g.drop_duplicates(dd_cols)
     )
 
 

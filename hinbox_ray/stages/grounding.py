@@ -185,12 +185,13 @@ def ground_profiles(
     if memo_df is not None and len(memo_df):
         memo_keys = set(zip(memo_df["entity_id"], memo_df["profile_hash"]))
 
-        def drop_memoized(df: pd.DataFrame) -> pd.DataFrame:
+        def drop_memoized(df: pd.DataFrame):
             keep = [
                 (e, h) not in memo_keys
                 for e, h in zip(df["entity_id"], df["profile_hash"])
             ]
-            return df[keep]
+            if any(keep):
+                yield df[keep]
 
         fresh_profiles = profiles_ds.map_batches(
             drop_memoized, batch_format="pandas"
@@ -239,36 +240,31 @@ def ground_profiles(
         lambda g: _fold_reports(g, min_grounding_score),
     )
 
-    # entities whose profile cites nothing still get a no_citations row
-    def no_claim_rows(df: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for eid, ph, text in zip(
-            df["entity_id"], df["profile_hash"], df["profile_text"]
-        ):
-            if not extract_cited_claims(str(text)):
-                rows.append((str(eid), str(ph)))
-        if not rows:
-            return _report_empty()
-        out = _report_empty()
-        return pd.concat(
-            [
-                out,
-                pd.DataFrame(
-                    {
-                        "entity_id": [r[0] for r in rows],
-                        "profile_hash": [r[1] for r in rows],
-                        "total_citations": np.int64(0),
-                        "verified": np.int64(0),
-                        "unverified": np.int64(0),
-                        "missing_source": np.int64(0),
-                        "grounding_score_e4": np.int64(-1),
-                        "passed": True,
-                        "flags": "no_citations",
-                    }
-                ),
-            ],
-            ignore_index=True,
-        )
+    # entities whose profile cites nothing still get a no_citations row;
+    # batches without one yield nothing (Ray cannot size a zero-row
+    # frame's object columns)
+    def no_claim_rows(df: pd.DataFrame):
+        rows = [
+            (str(eid), str(ph))
+            for eid, ph, text in zip(
+                df["entity_id"], df["profile_hash"], df["profile_text"]
+            )
+            if not extract_cited_claims(str(text))
+        ]
+        if rows:
+            yield pd.DataFrame(
+                {
+                    "entity_id": [r[0] for r in rows],
+                    "profile_hash": [r[1] for r in rows],
+                    "total_citations": np.int64(0),
+                    "verified": np.int64(0),
+                    "unverified": np.int64(0),
+                    "missing_source": np.int64(0),
+                    "grounding_score_e4": np.int64(-1),
+                    "passed": True,
+                    "flags": "no_citations",
+                }
+            )
 
     uncited = fresh_profiles.map_batches(no_claim_rows, batch_format="pandas")
     out = reports.union(uncited)

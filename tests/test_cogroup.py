@@ -235,8 +235,9 @@ def test_cogroup_exact_across_schemas_keys_and_blocks(ray_session):
 def test_bucketed_map_groups_matches_plain_groupby(ray_session):
     """The bucketed shuffle must be semantically identical to one Ray
     group per key — same groups, same kernel outputs — without one Ray
-    group per key."""
-    from hinbox_ray.stages.cogroup import bucketed_map_groups
+    group per key; ``bucket_exchange`` on the same 2-column key gives
+    the same result from a kernel that groups per block."""
+    from hinbox_ray.stages.cogroup import bucket_exchange, bucketed_map_groups
 
     rng = np.random.default_rng(0)
     df = pd.DataFrame(
@@ -264,15 +265,25 @@ def test_bucketed_map_groups_matches_plain_groupby(ray_session):
         .sort_values(["k", "k2"])
         .reset_index(drop=True)
     )
+
+    def per_block(g: pd.DataFrame) -> pd.DataFrame:
+        # the same result from one call over many (k, k2) keys
+        out = g.groupby(["k", "k2"], as_index=False).agg(
+            s=("v", "sum"), n=("v", "size")
+        )
+        return out.astype({"k": np.int64, "k2": str, "s": np.int64, "n": np.int64})
+
     # output independent of the input's block count; the exchange sees
     # the input coalesced to ceil(rows / COALESCE_ROWS) blocks
     for n in BLOCK_COUNTS:
-        res = bucketed_map_groups(
-            _blocked(df, n), ["k", "k2"], kernel
-        ).materialize()
-        got = res.to_pandas().sort_values(["k", "k2"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(got, want)
-        assert res.num_blocks() <= _max_blocks(len(df)), n
+        for res in (
+            bucketed_map_groups(_blocked(df, n), ["k", "k2"], kernel),
+            bucket_exchange(_blocked(df, n), ["k", "k2"], per_block),
+        ):
+            res = res.materialize()
+            got = res.to_pandas().sort_values(["k", "k2"]).reset_index(drop=True)
+            pd.testing.assert_frame_equal(got, want)
+            assert res.num_blocks() <= _max_blocks(len(df)), n
 
 
 def test_bucketed_drop_duplicates_matches_pandas(ray_session):
@@ -299,9 +310,10 @@ def test_kernels_run_once_per_shuffle_block(ray_session):
     shuffle output block, not once per bucket: a kernel that returns
     one marker row per call makes no more rows than the result has
     blocks, from 1, 8 or 49 input blocks."""
-    from hinbox_ray.stages.cogroup import bucket_exchange, cogroup, key_buckets
+    from hinbox_ray.stages.cogroup import bucket_exchange, cogroup
 
     df = pd.DataFrame({"k": np.arange(600, dtype=np.int64)})
+    df2 = df.assign(k2=[f"s{i % 7}" for i in range(600)])
 
     def mark(_):
         return pd.DataFrame({"call": np.ones(1, dtype=np.int64)})
@@ -309,9 +321,8 @@ def test_kernels_run_once_per_shuffle_block(ray_session):
     for n in BLOCK_COUNTS:
         for res in (
             cogroup({"a": _blocked(df, n), "b": _blocked(df.iloc[::2], n)}, "k", mark),
-            bucket_exchange(
-                _blocked(df, n), lambda d: key_buckets(d, ["k"], 64), mark
-            ),
+            bucket_exchange(_blocked(df, n), "k", mark),
+            bucket_exchange(_blocked(df2, n), ["k", "k2"], mark),
         ):
             res = res.materialize()
             assert 1 <= res.count() <= res.num_blocks(), n

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import duckdb
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import __ray_entry__ as E
@@ -63,3 +64,36 @@ def test_rows_only_queries_run(ray_session):
         res = qs[name](SF)
         n = res.count() if hasattr(res, "count") else len(res)
         assert n >= 0
+
+
+def test_pack_sequences_with_many_buckets_per_block(ray_session, tmp_path):
+    """``doc_pack_sequences`` buckets docs by ``doc_id // bucket_rows``.
+    The sf0.001 ids 0–499 make one bucket; spread 1000 apart they make
+    ~120. Small blocks (~40 rows) split them over many shuffle blocks,
+    each holding buckets in hash order, so a kernel that read one
+    bucket's offset per call would misplace the other buckets' packs."""
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    docs = pq.read_table(f"{SF}/documents.parquet").to_pandas()
+    docs["doc_id"] = docs["doc_id"] * 1000
+    pq.write_table(
+        pa.Table.from_pandas(docs, preserve_index=False),
+        tmp_path / "documents.parquet",
+    )
+    ctx = DataContext.get_current()
+    max_block = ctx.target_max_block_size
+    ctx.target_max_block_size = 1024
+    try:
+        res = E.queries()["doc_pack_sequences"](str(tmp_path)).materialize()
+    finally:
+        ctx.target_max_block_size = max_block
+    assert res.num_blocks() > 1
+    mine = canon(res.to_pandas())
+    c = duckdb.connect()
+    c.execute(
+        f"CREATE VIEW documents AS SELECT * FROM '{tmp_path}/documents.parquet'"
+    )
+    theirs = canon(c.execute(E.oracle_sql()["doc_pack_sequences"]).df())
+    assert mine["pack_id"].nunique() > 1
+    pd.testing.assert_frame_equal(mine, theirs, check_dtype=False)

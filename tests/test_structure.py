@@ -29,15 +29,32 @@ def test_modules_compile_without_warnings():
             compile(path.read_text(), str(path), "exec")
 
 
+def _hits(pattern: str, exempt=()):
+    rx = re.compile(pattern)
+    return [
+        f"{path.relative_to(ROOT)}:{i}"
+        for path in _modules()
+        if path not in {ROOT / e for e in exempt}
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if rx.search(line)
+    ]
+
+
 def test_only_cogroup_tags_and_buckets_sides():
     """Two-sided exchanges go through ``stages.cogroup.cogroup``: no
     other module adds the bucket column or a ``_src`` side marker."""
-    marker = re.compile(r"_gbucket|[\"']_src[\"']")
-    hits = [
-        f"{path.relative_to(ROOT)}:{i}"
-        for path in _modules()
-        if path != ROOT / "hinbox_ray/stages/cogroup.py"
-        for i, line in enumerate(path.read_text().splitlines(), 1)
-        if marker.search(line)
-    ]
-    assert hits == []
+    marker = r"_gbucket|[\"']_src[\"']"
+    assert _hits(marker, exempt=["hinbox_ray/stages/cogroup.py"]) == []
+
+
+def test_no_per_group_map_groups():
+    """Keyed groupings go through ``stages.cogroup.bucket_exchange``
+    (one kernel call per shuffle block), never Ray's
+    ``groupby(...).map_groups``."""
+    assert _hits(r"\.map_groups\(") == []
+
+
+def test_only_cogroup_computes_shuffle_buckets():
+    """The bucket hash of an exchange is decided in one place: callers
+    pass key columns, not bucket columns."""
+    assert _hits(r"\bkey_buckets\(", exempt=["hinbox_ray/stages/cogroup.py"]) == []
