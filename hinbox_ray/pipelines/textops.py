@@ -496,15 +496,19 @@ def _shingle_hashes(text: str, k: int = 3) -> np.ndarray:
     return out
 
 
+# built once per process: two seeded 128-entry arrays, the same in
+# every worker
+_HASHER = MinHasher(num_perm=_NUM_PERM, seed=7)
+
+
 class _SignatureStage:
-    """Actor-pool stage: shingle + minhash each doc once.
+    """Task stage: shingle + minhash each doc once.
 
-    The MinHasher's permutation table is built once per actor
-    (``__init__``), not per batch.
+    Stateless (the hasher is the module's ``_HASHER``), so
+    ``_minhash_signatures`` maps an instance as a plain task function,
+    with no actor pool to start; ``_SignatureStage()(batch)`` runs the
+    same kernel in-process.
     """
-
-    def __init__(self):
-        self.hasher = MinHasher(num_perm=_NUM_PERM, seed=7)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids, bands, grams = [], [], []
@@ -516,11 +520,11 @@ class _SignatureStage:
                 continue
             # minhash over pre-hashed shingles: a*x+b mod p directly
             prod = (
-                self.hasher.a[:, None] * gh[None, :] + self.hasher.b[:, None]
+                _HASHER.a[:, None] * gh[None, :] + _HASHER.b[:, None]
             ) % np.uint64((1 << 61) - 1)
             sig = prod.min(axis=1)
             doc_ids.append(doc_id)
-            bands.append(self.hasher.band_keys_u64(sig, _NUM_BANDS))
+            bands.append(_HASHER.band_keys_u64(sig, _NUM_BANDS))
             grams.append(gh)
         flat = (
             np.concatenate(bands)
@@ -543,28 +547,11 @@ class _SignatureStage:
 
 
 def _minhash_signatures(sf_dir: str) -> ray.data.Dataset:
-    ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
-    if ray.is_initialized():
-        n = int(ray.cluster_resources().get("CPU", 4))
-    else:
-        n = 4
-    # cap the pool by the batch count (parquet metadata is free to
-    # read): spinning 16 actors for a 10-batch corpus pays ~2 s of
-    # startup for workers that never get a batch
-    try:
-        import pyarrow.parquet as _pq
-
-        n_rows = _pq.read_metadata(
-            os.path.join(sf_dir, "documents.parquet")
-        ).num_rows
-        n_batches = max(1, -(-n_rows // 512))
-    except Exception:
-        n_batches = 1 << 30
-    return ds.map_batches(
-        _SignatureStage,
-        concurrency=max(2, min(n // 2, n_batches)),
-        batch_size=512,
-        batch_format="pyarrow",
+    """(doc_id, bands, grams) per doc with ≥3 tokens, from a task stage
+    over the read, so it spreads over every cpu the read's blocks
+    allow."""
+    return _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
+        _SignatureStage(), batch_size=512, batch_format="pyarrow"
     )
 
 

@@ -203,7 +203,7 @@ def cogroup(sides: dict, on, kernel, *, n_buckets: int = 512):
     into Arrow payload rows, one per bucket and batch; the payload rows
     of all sides are bundled again (at most one full payload batch per
     side) and one sort shuffle on ``_gbucket`` groups them. The kernel
-    returns a DataFrame or ``None`` (no rows)."""
+    returns a DataFrame, an Arrow table or ``None`` (no rows)."""
     names = list(sides)
     keys = {
         n: _key_list(on[n] if isinstance(on, dict) else on) for n in names

@@ -1,12 +1,13 @@
-"""Multimodal (image/audio/video-as-binary) actor-pool stages with REAL
+"""Multimodal (image/audio/video-as-binary) task stages with REAL
 pure-numpy decoders for self-describing public formats.
 
 Media are opaque ``binary`` columns with typed metadata, per the
 large-scale training-data pipeline pattern: decode / feature-extract /
-frame-sample run as stateful ``map_batches`` actor stages with small
-batches (payloads dominate block memory). Round 3 shipped this plumbing
-with a stubbed decoder; round 4 (VERDICT #2) replaces the stub with
-three honest codecs that need no external library:
+frame-sample run as ``map_batches`` task stages with small batches
+(payloads dominate block memory). The decoders hold no state, so they
+start no actor pool. Round 3 shipped this plumbing with a stubbed
+decoder; round 4 (VERDICT #2) replaces the stub with three honest
+codecs that need no external library:
 
 - **images**: binary PPM ``P6`` (Netpbm) — ASCII header (magic,
   whitespace, ``#`` comments, width, height, maxval) + raw RGB bytes;
@@ -16,8 +17,8 @@ three honest codecs that need no external library:
   ``FRAME\\n`` markers + luma planes.
 
 A real-world corpus would swap Pillow / libsndfile / ffmpeg probes into
-the same actor ``__init__`` seam; nothing about the pipeline shape
-changes.
+the same stage classes; a codec or model with expensive set-up would
+make its stage stateful and map it as an actor pool instead.
 
 The synthetic payload CONTENT is a closed-form byte formula of
 ``(doc_id, offset)``, so the DuckDB oracles in ``__ray_entry__.py``
@@ -228,19 +229,19 @@ def _mean_e4(total: int, n: int) -> int:
     return (total * 20000 + n) // (2 * n) if n else 0
 
 
-# ── actor-pool stages ──
+# ── task stages ──
 
 
 class ImageDecodeStage:
-    """Actor-pool stage: PPM binary payload → integer image features
+    """Task stage: PPM binary payload → integer image features
     (width, height, per-channel mean_e4).
 
     Reference-parity note: hinbox has no media path; this is the
     engine's extension for multimodal corpora (prompt requirement).
-    Stateful setup (a real deployment's codec / model load) happens once
-    per actor in ``__init__``. Use small ``batch_size`` — payloads are
-    large: ``ds.map_batches(ImageDecodeStage, concurrency=(2, 8),
-    batch_size=32, num_cpus=1, batch_format="pyarrow")``.
+    ``__init__`` only stores a parameter, so the stage runs as tasks.
+    Use small ``batch_size`` — payloads are large:
+    ``ds.map_batches(ImageDecodeStage(), batch_size=32,
+    batch_format="pyarrow")``.
     """
 
     def __init__(self, target_size: Optional[int] = None):
@@ -278,7 +279,7 @@ class ImageDecodeStage:
 
 
 class AudioDecodeStage:
-    """Actor-pool stage: WAV payload → integer audio features
+    """Task stage: WAV payload → integer audio features
     (sample_rate, n_samples, sum|s|, peak|s|)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -310,7 +311,7 @@ class AudioDecodeStage:
 
 
 class FrameSampleStage:
-    """Actor-pool stage: Y4M payload → k evenly-spaced frame rows
+    """Task stage: Y4M payload → k evenly-spaced frame rows
     (1 row → k rows flat-map expansion); per sampled frame the integer
     luma sum. Frame f_i = floor(i * n_frames / k_eff), k_eff =
     min(k, n_frames) — strictly increasing, so sampled frames are
@@ -355,18 +356,14 @@ def _media_pipeline(sf_dir: str, synth_fn, stage_cls, **stage_kwargs):
         f"{sf_dir}/documents.parquet", columns=["doc_id"], override_num_blocks=16
     )
     media = ds.map_batches(synth_fn, batch_format="pyarrow")
+    # the stages are stateless: an instance maps as a task function
     return media.map_batches(
-        stage_cls,
-        fn_constructor_kwargs=stage_kwargs,
-        concurrency=(2, 8),
-        batch_size=32,
-        num_cpus=1,
-        batch_format="pyarrow",
+        stage_cls(**stage_kwargs), batch_size=32, batch_format="pyarrow"
     )
 
 
 def multimodal_features(sf_dir: str):
-    """documents → PPM binary → actor-pool decode → integer features.
+    """documents → PPM binary → decode tasks → integer features.
 
     Small batch_size (32) because payload bytes dominate block memory.
     Oracle-backed: the DuckDB SQL recomputes the closed-form pixels."""

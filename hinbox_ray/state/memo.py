@@ -45,6 +45,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import DomainConfig
 
@@ -167,13 +168,17 @@ def extract_with_memo(
             "memo_key",
             split_bucket,
         ).materialize()
+        # Arrow filters: a zero-row pandas frame with string columns
+        # makes Ray log a sizing error for each of them
         misses = cg.map_batches(
-            lambda df: df[df["_hit"] == 0].drop(columns=["_hit"]),
-            batch_format="pandas",
+            lambda t: t.filter(pc.equal(t["_hit"], 0)).drop_columns(["_hit"]),
+            batch_format="pyarrow",
         )
         hit_docs = cg.map_batches(
-            lambda df: df[df["_hit"] == 1][["memo_key", "url", "warc_ts"]],
-            batch_format="pandas",
+            lambda t: t.filter(pc.equal(t["_hit"], 1)).select(
+                ["memo_key", "url", "warc_ts"]
+            ),
+            batch_format="pyarrow",
         )
 
     n_miss = misses.count()
@@ -275,18 +280,25 @@ def extract_with_memo(
         # which replay takes from the CURRENT hit doc
         payload_cols = [c for c in mcols if c not in ("url", "warc_ts")]
 
-        def replay_bucket(f: dict) -> pd.DataFrame:
+        def replay_bucket(f: dict):
             # vectorized per block: dedup each key's payload (the
             # append-only data dir may hold duplicates), then fan it out
             # to every hit doc of that key via one merge — each replayed
             # row carries the hit doc's own url/warc_ts.
-            if f["data"] is None or f["hits"] is None:
-                return MENTIONS_SCHEMA.empty_table().to_pandas()
+            if f["hits"] is None:  # block holds only memo data
+                return None
+            if f["data"] is None:  # a typed empty keeps the schema
+                return MENTIONS_SCHEMA.empty_table()
             payload = f["data"][["memo_key", *payload_cols]].drop_duplicates(
                 ["memo_key", "doc_ord", "entity_type", "name"]
             )
             out = f["hits"].merge(payload, on="memo_key", how="inner")
-            return out[mcols]
+            # Arrow, not pandas: Ray casts a pandas column of arrays to
+            # its tensor extension and cannot size it when every
+            # `aliases` list in the block is empty
+            return pa.Table.from_pandas(
+                out[mcols], schema=MENTIONS_SCHEMA, preserve_index=False
+            )
 
         replayed = cogroup(
             {"data": data.select_columns(["memo_key", *mcols]), "hits": hit_docs},

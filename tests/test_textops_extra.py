@@ -177,6 +177,24 @@ def test_minhash_dataset_path_matches_driver_path(ray_session):
     assert a == b and len(a) > 0
 
 
+def test_signature_probe_matches_dataset_rows(ray_session):
+    """``_SignatureStage()(batch)`` (the in-process kernel probe) and the
+    rows ``_minhash_signatures`` produces are the same, byte for byte."""
+    import pyarrow.parquet as pq
+
+    from hinbox_ray.pipelines.textops import _minhash_signatures, _SignatureStage
+
+    docs = pq.read_table(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+    probe = _SignatureStage()(docs).sort_by("doc_id")
+    rows = pa.concat_tables(
+        _minhash_signatures(SF).iter_batches(batch_format="pyarrow")
+    ).sort_by("doc_id")
+    assert probe.num_rows == rows.num_rows > 0
+    for col in ("doc_id", "bands", "grams"):
+        assert probe[col].to_pylist() == rows[col].to_pylist(), col
+        assert probe[col].type == rows[col].type, col
+
+
 def test_embedding_neardup_blocked_matches_small_blocks(ray_session):
     """The blocked all-pairs plan is exact regardless of block size:
     forcing many tiny blocks (multi-task grid) must reproduce the
