@@ -6,16 +6,18 @@ Stage graph (SURVEY.md §7.1), all Ray Data:
       → map_batches(extract_text)          stateless tasks
       → vectorized lang/nonempty filter    stateless tasks
       → map_batches(MentionExtractor, concurrency=N)   actor pool
-      → raw-entity aggregation             combiner + groupby (vocab scale)
-      → blocking-key explode → groupby(block_key) pair scoring   SHUFFLE
-      → connected components               log-n groupby rounds
-      → per-component canonical election   groupby(component)
-      → triples: entity triples ∪ distinct mentioned_in (hash join)
-      → sort(subj, pred, obj)              final SHUFFLE
+      → raw-entity aggregation             combiner + bucketed grouping
+      → blocking-key explode → bucketed pair scoring   SHUFFLE
+      → connected components               log-n grouping rounds
+      → per-component canonical election   bucketed grouping
+      → triples: entity triples ∪ mentioned_in (broadcast node map)
+      → range exchange on exact subject ranges         final SHUFFLE
+        (cut points from the entity table, no sampling pass) →
+        per-block adjacent distinct → one file per range
 
-Everything streams; nothing corpus-scale is materialized. The only
-materialized intermediates are the candidate-edge rounds inside
-connected components (vocabulary-scale by construction).
+Everything else streams. The materialized intermediates are the
+mention boundary (read by two consumers) and the vocabulary-scale
+resolution tables (raw entities, verdicts, canonical entities).
 """
 
 from __future__ import annotations
@@ -23,14 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 from ..config import DomainConfig
 from ..stages.canonical import (
+    TRIPLES_SCHEMA,
     canonical_entities,
     entity_triples,
     mention_triples,
     node_map,
 )
 from ..stages.cc import connected_components
+from ..stages.cogroup import COALESCE_ROWS
 from ..stages.extract import extract_and_filter
 from ..stages.mentions import extract_mentions
 from ..stages.resolve import candidate_edges_with_verdicts, raw_entities
@@ -51,7 +59,7 @@ def build_kg(
     pages_ds,
     cfg: Optional[DomainConfig] = None,
     *,
-    concurrency=None,  # None → size the extractor pool to cluster CPUs
+    concurrency=None,  # None → extract_mentions sizes the pool
     batch_size: int = 128,
     sort_triples: bool = True,
     verifier_cls=None,        # swap the merge-decision model (A4/A5)
@@ -90,24 +98,11 @@ def build_kg(
     # subplans). Mentions are ~an order of magnitude smaller than pages
     # and spill to the object store; the resumable production path
     # checkpoints this same boundary to Parquet (state/lineage.py).
-    # Coalesce before the checkpoint: the actor stage emits one block
-    # per batch (thousands of tiny blocks at bench scale), and every
-    # downstream sort/groupby pays per-block cost three times over.
-    import ray as _ray
-
-    n_cpus = (
-        int(_ray.cluster_resources().get("CPU", 4))
-        if _ray.is_initialized()
-        else 4
-    )
-    if concurrency is None and fused:
-        # all kernels live in the actor pool now; leave 2 CPUs for the
-        # (cheap) parquet read
-        concurrency = max(2, n_cpus - 2)
     # No repartition before the materialize: Ray's dynamic block
     # building already emits ~target-size blocks from the actor stage
     # (measured 192 blocks for 25M mention rows), and the repartition
-    # round-trip cost ~10 s at 10M pages for no downstream gain.
+    # round-trip cost ~10 s at 10M pages for no downstream gain. The
+    # two consumers coalesce their own input to COALESCE_ROWS.
     extracted = extract_mentions(
         docs,
         cfg,
@@ -161,10 +156,7 @@ def build_kg(
     if n_raw == 0:
         # empty corpus: blocks would carry no schema and the hash join
         # would fail — return well-typed empty outputs instead
-        import pyarrow as pa
         import ray.data as rd
-
-        from ..stages.canonical import TRIPLES_SCHEMA
 
         empty = rd.from_arrow(TRIPLES_SCHEMA.empty_table())
         return KGResult(triples=empty, entities=raw, mentions=mentions)
@@ -176,11 +168,9 @@ def build_kg(
     merge_stats = compute_merge_stats(verdicts, entities.count())
 
     nmap = node_map(entities)
-    # when a sort follows, mentioned_in distinctness is finished AFTER
-    # the sort (equal triples land adjacent in one block — verified:
-    # Ray's range partitioner never splits equal keys across blocks), so
-    # the salted dedup groupby shuffle is skipped — one all-to-all over
-    # the 25M-triple stream instead of two
+    # when a sort follows, mentioned_in distinctness is finished by
+    # the per-range distinct after it, so the salted dedup shuffle is
+    # skipped: one exchange over the triple stream instead of two
     triples = entity_triples(entities).union(
         mention_triples(
             mentions,
@@ -191,9 +181,7 @@ def build_kg(
     if sort_triples == "sharded":
         triples = sharded_sorted_triples(triples)
     elif sort_triples:
-        triples = triples.sort(["subj", "pred", "obj"]).map_batches(
-            _distinct_sorted_block, batch_format="pyarrow", batch_size=None
-        )
+        triples = range_sorted_triples(triples, entities)
     return KGResult(
         triples=triples,
         entities=entities,
@@ -203,26 +191,95 @@ def build_kg(
     )
 
 
-def _distinct_sorted_block(batch):
-    """Adjacent-distinct over one sorted block (vectorized arrow
-    compare of each row against its predecessor). Exact globally
-    because the sort's range partitioner keeps equal keys in one
-    block (empirically verified; pinned by test with planted dups)."""
-    import numpy as np
-    import pyarrow as _pa
-    import pyarrow.compute as _pc
+# triples an entity emits besides its mentioned_in rows (rdf:type,
+# name, aliases, attributes); it only moves range balance
+_ENTITY_TRIPLE_WEIGHT = 8
 
+
+def subject_cuts(entities_ds) -> np.ndarray:
+    """Cut points of ``range_sorted_triples``, computed on the driver
+    from the materialized entity table (no sampling pass): the sorted
+    entity ids where the cumulative triple weight ``n_mentions +
+    _ENTITY_TRIPLE_WEIGHT`` crosses a multiple of ``COALESCE_ROWS``.
+    Range ``r`` is ``[cuts[r-1], cuts[r])``; every range holds a
+    subject. Two or more subjects make two or more ranges (a middle
+    cut below ``COALESCE_ROWS``): Ray's sort needs a boundary, and an
+    output range with no rows would be a block with no columns."""
+    w = (
+        entities_ds.select_columns(["entity_id", "n_mentions"])
+        .to_pandas()
+        .groupby("entity_id", sort=True)["n_mentions"]
+        .sum()
+    )
+    weight = w.to_numpy(np.int64) + _ENTITY_TRIPLE_WEIGHT
+    before = np.cumsum(weight) - weight
+    first = np.flatnonzero(np.diff(before // COALESCE_ROWS)) + 1
+    if not len(first) and len(w) > 1:
+        first = np.array([len(w) // 2])
+    return w.index.to_numpy(object)[first]
+
+
+def range_sorted_triples(triples_ds, entities_ds):
+    """Sorted, distinct ``(subj, pred, obj)`` in one range exchange:
+    tag each triple with its subject's range in a map coalesced to
+    ``COALESCE_ROWS`` rows, sort on ``(_range, subj, pred, obj)`` with
+    the range ids as boundaries (one output block per range, in key
+    order), then an adjacent distinct per block. A subject lies in one
+    range, so distinctness and file order are exact by construction;
+    the cut points only move balance. The boundaries are never an
+    empty list, which would make Ray sample them: ``1..k-1`` for ``k``
+    ranges, ``[1]`` when one subject leaves a second block empty."""
+    cuts = subject_cuts(entities_ds)
+
+    def tag(batch: pa.Table) -> pa.Table:
+        subj = batch["subj"].to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "_range": np.searchsorted(cuts, subj, side="right").astype(
+                    np.int64
+                ),
+                "subj": batch["subj"],
+                "pred": batch["pred"],
+                "obj": batch["obj"],
+            }
+        )
+
+    return (
+        triples_ds.map_batches(
+            tag, batch_format="pyarrow", batch_size=COALESCE_ROWS
+        )
+        .sort(
+            ["_range", "subj", "pred", "obj"],
+            boundaries=list(range(1, max(2, len(cuts) + 1))),
+        )
+        .map_batches(
+            _distinct_range_block, batch_format="pyarrow", batch_size=None
+        )
+    )
+
+
+def _distinct_range_block(batch):
+    """One range block → its distinct triples without ``_range``."""
+    return _distinct_sorted_block(batch.drop_columns(["_range"]))
+
+
+def _distinct_sorted_block(batch):
+    """Adjacent-distinct over one block sorted on (subj, pred, obj)
+    (a vectorized Arrow compare of each row against its predecessor).
+    Exact over the whole dataset because the exchange before it keeps
+    every subject in one block (a range in ``range_sorted_triples``, a
+    hash shard in ``sharded_sorted_triples``)."""
     n = batch.num_rows
     if n <= 1:
         return batch
-    keep = np.ones(n, dtype=bool)
     same = None
     for c in ("subj", "pred", "obj"):
         col = batch[c].combine_chunks()
-        eq = _pc.equal(col.slice(1), col.slice(0, n - 1))
-        same = eq if same is None else _pc.and_(same, eq)
+        eq = pc.equal(col.slice(1), col.slice(0, n - 1))
+        same = eq if same is None else pc.and_(same, eq)
+    keep = np.ones(n, dtype=bool)
     keep[1:] = ~same.to_numpy(zero_copy_only=False)
-    return batch.filter(_pa.array(keep))
+    return batch.filter(pa.array(keep))
 
 
 def sharded_sorted_triples(triples_ds, num_shards: int = 64):
@@ -242,14 +299,13 @@ def sharded_sorted_triples(triples_ds, num_shards: int = 64):
     prune.
 
     Measured note (10M pages, 32 cpus, single node): Ray's global Arrow
-    sample-sort finishes the same 25M triples in ~25 s — on ONE node it
-    beats this path, so the flagship default stays ``sort_triples=True``
-    and this layout is for multi-node runs where per-shard writes avoid
-    a cluster-wide barrier, and for resumable partitioned output.
+    sample-sort, which ``range_sorted_triples`` replaced, finished the
+    same 25M triples in ~25 s — on ONE node it beat this path, so the
+    flagship default is ``sort_triples=True`` and this layout is for
+    multi-node runs and for resumable partitioned output. Whether the
+    range exchange makes it redundant there is unmeasured.
     """
-    import numpy as np
     import pandas as pd
-    import pyarrow as _pa
 
     from ..stages.cogroup import bucket_exchange
 
@@ -261,11 +317,11 @@ def sharded_sorted_triples(triples_ds, num_shards: int = 64):
         ).astype(np.int64)
         return df
 
-    def sort_shards(g: "pd.DataFrame") -> "_pa.Table":
+    def sort_shards(g: "pd.DataFrame") -> pa.Table:
         # sorted + adjacent-distinct: the block holds ALL rows of each
         # of its shards (hash partition), so the distinct is exact
         return _distinct_sorted_block(
-            _pa.Table.from_pandas(g, preserve_index=False).sort_by(
+            pa.Table.from_pandas(g, preserve_index=False).sort_by(
                 [
                     ("shard", "ascending"),
                     ("subj", "ascending"),

@@ -169,7 +169,7 @@ TRIPLES_SCHEMA = pa.schema(
 
 def _entity_triples_batch(df: pd.DataFrame) -> pd.DataFrame:
     """Vectorized triple emission: one masked slice per predicate kind
-    (the downstream global sort makes emission order irrelevant)."""
+    (the downstream range sort makes emission order irrelevant)."""
     eid = df["entity_id"].to_numpy()
     etype = df["entity_type"].to_numpy()
     parts: List[pd.DataFrame] = []
@@ -245,10 +245,12 @@ def mention_triples(
     within each batch (same-doc name variants resolving to one entity —
     the dominant duplicate source, since one doc's mentions share a
     batch) and SKIPS the shuffle; the caller must finish distinctness
-    downstream (build_kg does it after the final sort, where equal
-    triples are adjacent — one all-to-all instead of two).
+    downstream (``pipelines.kg.range_sorted_triples`` does it in its
+    per-range distinct: a subject's triples all land in one range
+    block, sorted, so equal triples are adjacent — one exchange
+    instead of two).
     """
-    from .cogroup import _url_salt
+    from .cogroup import COALESCE_ROWS, _url_salt
     from .resolve import add_node_id
 
     n_salts = 16
@@ -283,7 +285,9 @@ def mention_triples(
             out["salt"] = _url_salt(out["url"], n_salts)
             return out
 
-        joined = mentions_ds.map_batches(project_map, batch_format="pandas")
+        joined = mentions_ds.map_batches(
+            project_map, batch_format="pandas", batch_size=COALESCE_ROWS
+        )
     else:
         from .cogroup import attach_entity_id
 

@@ -252,14 +252,14 @@ def resolve_from_checkpoint(
     (total/avg attempts, reference process_and_extract.py:343-362) into
     ``merge_stats.json`` alongside the merge counters.
 
-    ``sort_triples="sharded"`` replaces the cluster-wide sample-sort
-    barrier with the hash-sharded per-shard sort
-    (pipelines/kg.sharded_sorted_triples) and writes the output
-    partitioned by shard (``triples/shard=N/``): on a multi-node resume
-    no stage waits on a global barrier, each shard is an independently
-    consumable sorted+distinct range file, and a consumer can prune by
-    shard. ``"global"`` (default) keeps the single-node-fastest global
-    sort (measured: beats the sharded path on one node)."""
+    ``"global"`` (default) writes the same layout as ``build_kg``: one
+    range exchange on exact subject ranges cut from the entity table
+    (pipelines/kg.range_sorted_triples), one sorted+distinct file per
+    range, file-name order equal to key order. ``sort_triples="sharded"``
+    uses the hash-sharded per-shard sort
+    (pipelines/kg.sharded_sorted_triples) instead and writes the output
+    partitioned by shard (``triples/shard=N/``), so a consumer can
+    prune by shard."""
     import ray.data as rd
 
     from ..pipelines.kg import KGResult
@@ -300,15 +300,13 @@ def resolve_from_checkpoint(
     triples = entity_triples(entities).union(
         mention_triples(mentions, nmap, dedup="local")
     )
-    from ..pipelines.kg import _distinct_sorted_block, sharded_sorted_triples
+    from ..pipelines.kg import range_sorted_triples, sharded_sorted_triples
 
     sharded = sort_triples == "sharded"
     if sharded:
         triples = sharded_sorted_triples(triples)
     else:
-        triples = triples.sort(["subj", "pred", "obj"]).map_batches(
-            _distinct_sorted_block, batch_format="pyarrow", batch_size=None
-        )
+        triples = range_sorted_triples(triples, entities)
 
     if write_triples:
         final = os.path.join(out_dir, "triples")

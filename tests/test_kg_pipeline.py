@@ -209,3 +209,126 @@ def test_checkpoint_mentions_boundary_equivalent(ray_session, tmp_path):
     assert base == ckpt
     files = os.listdir(tmp_path / "mentions")
     assert any(f.endswith(".parquet") for f in files)
+
+
+_TWO_CPU_RUN = """
+import sys
+
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+
+DataContext.get_current().enable_progress_bars = False
+from hinbox_ray.pipelines.kg import build_kg
+from hinbox_ray.sources.pages import pages_dataset
+
+rows = build_kg(pages_dataset(sys.argv[1])).triples.take_all()
+pq.write_table(pa.Table.from_pylist(rows), sys.argv[2])
+ray.shutdown()
+"""
+
+
+def test_build_kg_finishes_at_two_cpus(ray_session, tmp_path):
+    """At 2 CPUs the default extractor pool must leave a CPU for the
+    read (a 2-actor pool never finished). The run gets its own Ray in
+    its own process group, which is stopped whatever happens."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    from __ray_entry__ import SF0001
+    from hinbox_ray.pipelines.kg import build_kg
+    from hinbox_ray.sources.pages import pages_dataset
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = str(tmp_path / "two_cpus.parquet")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _TWO_CPU_RUN, SF0001, out],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=root, RAY_USAGE_STATS_ENABLED="0"),
+        start_new_session=True,
+    )
+    try:
+        assert proc.wait(timeout=180) == 0
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    two = pq.read_table(out).to_pylist()
+    four = build_kg(pages_dataset(SF0001)).triples.take_all()
+    assert two == four
+
+
+def _write_planted_triples(out_dir, n_blocks=None):
+    """Write the sf0.001 planted KG; return its triple files' bytes in
+    file-name order, each file's rows, and the files' row counts."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
+
+    from __ray_entry__ import SF0001
+    from hinbox_ray.pipelines.kg import build_kg, write_kg
+    from hinbox_ray.sources.planted import planted_pages_dataset
+
+    pages = planted_pages_dataset(SF0001)
+    if n_blocks:
+        pages = pages.repartition(n_blocks)
+    tri_dir = write_kg(build_kg(pages), str(out_dir))["triples_dir"]
+    files = sorted(glob.glob(os.path.join(tri_dir, "*.parquet")))
+    blobs = [open(f, "rb").read() for f in files]
+    rows = [
+        list(zip(*(t.column(c).to_pylist() for c in ("subj", "pred", "obj"))))
+        for t in (pq.read_table(f) for f in files)
+    ]
+    return blobs, rows
+
+
+def test_triple_files_identical_across_block_counts(ray_session, tmp_path):
+    """The written triple files are a function of the triple set:
+    byte-identical in file-name order whatever the input block count."""
+    default, _ = _write_planted_triples(tmp_path / "default")
+    split, _ = _write_planted_triples(tmp_path / "split", n_blocks=7)
+    assert default == split
+
+
+def test_many_subject_ranges_exact_and_identical(
+    ray_session, tmp_path, monkeypatch
+):
+    """With a range target small enough for several ranges: files stay
+    byte-identical across input block counts, rows increase strictly
+    across files in file-name order, no subject is in two files, no
+    file is empty, and the rows equal the DuckDB triples oracle."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from __ray_entry__ import SF0001
+    from hinbox_ray.pipelines import kg
+    from hinbox_ray.sources.planted import triples_oracle_sql
+
+    monkeypatch.setattr(kg, "COALESCE_ROWS", 300)
+    default, per_file = _write_planted_triples(tmp_path / "default")
+    split, _ = _write_planted_triples(tmp_path / "split", n_blocks=7)
+    assert len(default) >= 3
+    assert default == split
+    assert all(per_file)
+    rows = [r for f in per_file for r in f]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    subjects = [{r[0] for r in f} for f in per_file]
+    assert sum(map(len, subjects)) == len(set().union(*subjects))
+    con = duckdb.connect()
+    con.register(
+        "documents",
+        pq.read_table(f"{SF0001}/documents.parquet", columns=["doc_id"]),
+    )
+    oracle = con.execute(triples_oracle_sql()).fetchall()
+    assert rows == sorted(set(oracle))
