@@ -577,7 +577,7 @@ def _kg_profiles_planted(sf_dir: str) -> Any:
     from hinbox_ray.sources.planted import planted_pages_dataset
     from hinbox_ray.stages.profiles import entity_profiles
 
-    res = build_kg(planted_pages_dataset(sf_dir), sort_triples=False)
+    res = build_kg(planted_pages_dataset(sf_dir))
     prof = entity_profiles(res.entities, res.mentions)
     return prof.select_columns(
         [
@@ -608,7 +608,7 @@ def _kg_grounding_planted(sf_dir: str) -> Any:
     from hinbox_ray.stages.grounding import ground_profiles
     from hinbox_ray.stages.profiles import entity_profiles
 
-    res = build_kg(planted_pages_dataset(sf_dir), sort_triples=False)
+    res = build_kg(planted_pages_dataset(sf_dir))
     profiles = entity_profiles(res.entities, res.mentions).materialize()
     docs = extract_and_filter(planted_pages_dataset(sf_dir)).select_columns(
         ["url", "text"]

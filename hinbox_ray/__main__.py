@@ -2,7 +2,7 @@
 ``python -m src.process_and_extract`` (process_and_extract.py:770-870).
 
     python -m hinbox_ray --pages <dir-or-file> --out <dir> \
-        [--domain-config config.yaml] [--limit N] [--resume]
+        [--domain-config config.yaml] [--limit N] [--resume [--sharded-triples]]
 
 Reads a pages Parquet corpus (url, warc_ts, html, text, lang), runs the
 KG-construction pipeline, and writes triples/ + entities/ Parquet under
@@ -42,8 +42,8 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--sharded-triples",
         action="store_true",
-        help="write triples hash-sharded + per-shard sorted (multi-node "
-        "resume layout; default is the single-node-fastest global sort)",
+        help="with --resume: write triples hash-sharded + per-shard sorted "
+        "(multi-node resume layout; default is the range-sorted layout)",
     )
     args = ap.parse_args(argv)
 
@@ -59,6 +59,10 @@ def main(argv=None) -> int:
         return 0
     if not args.pages or not args.out:
         ap.error("--pages and --out are required (unless scaffolding domains)")
+    if args.sharded_triples and not args.resume:
+        # only the resume path writes the sharded layout; build_kg always
+        # writes the range-sorted one
+        ap.error("--sharded-triples requires --resume")
 
     import ray
 

@@ -3,9 +3,10 @@
 Stage graph (SURVEY.md §7.1), all Ray Data:
 
     pages (url, warc_ts, html, text, lang)
-      → map_batches(extract_text)          stateless tasks
-      → vectorized lang/nonempty filter    stateless tasks
       → map_batches(MentionExtractor, concurrency=N)   actor pool
+        (html→text fused into the extraction actors)
+      → mention boundary: materialize, or a zstd Parquet checkpoint
+    resolve_mentions (shared with state/lineage.resolve_from_checkpoint):
       → raw-entity aggregation             combiner + bucketed grouping
       → blocking-key explode → bucketed pair scoring   SHUFFLE
       → connected components               log-n grouping rounds
@@ -39,10 +40,9 @@ from ..stages.canonical import (
 )
 from ..stages.cc import connected_components
 from ..stages.cogroup import COALESCE_ROWS
-from ..stages.extract import extract_and_filter
 from ..stages.mentions import extract_mentions
 from ..stages.resolve import candidate_edges_with_verdicts, raw_entities
-from ..stages.verify import compute_merge_stats
+from ..stages.verify import MergeStats, compute_merge_stats
 
 
 @dataclass
@@ -61,36 +61,18 @@ def build_kg(
     *,
     concurrency=None,  # None → extract_mentions sizes the pool
     batch_size: int = 128,
-    sort_triples: bool = True,
     verifier_cls=None,        # swap the merge-decision model (A4/A5)
     defer_policy: str = "skip",
-    relevance_scorer=None,    # F3: plug a domain-relevance scorer
-    use_relevance_gate: bool = False,
     extractor_cls=None,       # A1: swap the extraction model class
     extractor_kwargs=None,
-    checkpoint_mentions: Optional[bool] = None,  # parquet the boundary
+    checkpoint_mentions: bool = False,  # parquet the boundary
     checkpoint_dir: Optional[str] = None,
 ) -> KGResult:
+    """Pages → knowledge graph: extraction, the mention boundary, then
+    ``resolve_mentions``. html→text is fused into the extraction actors
+    (the extractor detects the html column), so one pool does both
+    kernels and the read is the only upstream work."""
     cfg = cfg or DomainConfig()
-
-    fused = not (use_relevance_gate or relevance_scorer is not None)
-    if fused:
-        # html→text is fused INTO the extraction actors (the extractor
-        # detects the html column): one pool does both kernels, so the
-        # CPU split between a task stage and an actor pool can't starve
-        # either side. The read is the only upstream work.
-        docs = pages_ds
-    else:
-        # F3 gate ahead of extraction needs the text column, so the
-        # stages stay separate. Off by default in the flagship: the
-        # deterministic scorer uses the extractor's own lexicon, so it
-        # cannot change the graph — turn it on to prune extractor work
-        # on sparse corpora or to plug an LLM scorer.
-        from ..stages.relevance import relevance_gate
-
-        docs = relevance_gate(
-            extract_and_filter(pages_ds), cfg, scorer_fn=relevance_scorer
-        )
     # Materialize at the mention boundary: `mentions` feeds BOTH the
     # raw-entity aggregation and the mentioned_in triple join; without a
     # checkpoint each consumer would re-execute the whole extraction
@@ -104,17 +86,13 @@ def build_kg(
     # round-trip cost ~10 s at 10M pages for no downstream gain. The
     # two consumers coalesce their own input to COALESCE_ROWS.
     extracted = extract_mentions(
-        docs,
+        pages_ds,
         cfg,
         concurrency=concurrency,
         batch_size=batch_size,
         extractor_cls=extractor_cls,
         extractor_kwargs=extractor_kwargs,
     )
-    if checkpoint_mentions is None:
-        import os as _os
-
-        checkpoint_mentions = _os.environ.get("GRAFT_KG_CHECKPOINT", "") == "1"
     if checkpoint_mentions:
         # Parquet checkpoint instead of plasma materialize (round-4
         # VERDICT #4): at 20M+ pages the 50M-row mention table pinned in
@@ -125,41 +103,56 @@ def build_kg(
         # re-read it with column pruning (mention_triples never pays for
         # evidence/description bytes). This is also the production
         # resume boundary (state/lineage.py checkpoints the same stage).
-        import os as _os
-        import shutil as _shutil
-        import tempfile as _tempfile
+        import os
+        import shutil
+        import tempfile
 
-        base = checkpoint_dir or _tempfile.mkdtemp(prefix="kg_mentions_")
-        out = _os.path.join(base, "mentions")
-        _shutil.rmtree(out, ignore_errors=True)
-        extracted.write_parquet(out, compression="zstd")
         from ..sources.reader import read_parquet_clean
 
+        base = checkpoint_dir or tempfile.mkdtemp(prefix="kg_mentions_")
+        out = os.path.join(base, "mentions")
+        shutil.rmtree(out, ignore_errors=True)
+        extracted.write_parquet(out, compression="zstd")
         mentions = read_parquet_clean(out)
     else:
         mentions = extracted.materialize()
+    return resolve_mentions(
+        mentions, cfg, verifier_cls=verifier_cls, defer_policy=defer_policy
+    )
 
-    # Everything below is vocabulary-scale (distinct names), not corpus
-    # scale — materializing is cheap and avoids re-running the shuffles.
+
+def resolve_mentions(
+    mentions,
+    cfg: Optional[DomainConfig] = None,
+    *,
+    verifier_cls=None,
+    defer_policy: str = "skip",
+    sharded: bool = False,
+) -> KGResult:
+    """Mentions → graph: the resolution tail of both ``build_kg`` and
+    the resume path (``state/lineage.resolve_from_checkpoint``).
+
+    Raw entities → verdict-gated candidate edges → connected components
+    → canonical entities (+ merge stats) → entity triples ∪ mentioned_in
+    triples → ``range_sorted_triples`` (``sharded_sorted_triples`` when
+    ``sharded``). Every intermediate from the raw entities on is
+    vocabulary-scale (distinct names), so materializing them is cheap
+    and avoids re-running their shuffles. The stages are called through
+    this module's globals, where per-layer tracing wraps them.
+
+    A corpus with no mentions returns well-typed empty triples and zero
+    merge stats: its blocks would carry no schema downstream."""
+    cfg = cfg or DomainConfig()
     raw = raw_entities(mentions).materialize()
-    n_raw = raw.count()
-    if n_raw > 0:
-        # The vocabulary inherits the corpus' block count (100+
-        # near-empty blocks), and every downstream groupby barrier pays
-        # per-block scheduling — measured 8.1 s → 4.9 s across the
-        # resolution phase at bench scale after coalescing. Size-gated
-        # to ~64k-row blocks so a web-scale vocabulary (millions of
-        # names) keeps its parallelism.
-        target_blocks = max(2, min(n_raw // 65536 + 1, raw.num_blocks()))
-        if target_blocks < raw.num_blocks() // 2:
-            raw = raw.repartition(target_blocks).materialize()
-    if n_raw == 0:
-        # empty corpus: blocks would carry no schema and the hash join
-        # would fail — return well-typed empty outputs instead
+    if raw.count() == 0:
         import ray.data as rd
 
-        empty = rd.from_arrow(TRIPLES_SCHEMA.empty_table())
-        return KGResult(triples=empty, entities=raw, mentions=mentions)
+        return KGResult(
+            triples=rd.from_arrow(TRIPLES_SCHEMA.empty_table()),
+            entities=raw,
+            mentions=mentions,
+            merge_stats=MergeStats(),
+        )
     edges, verdicts = candidate_edges_with_verdicts(
         raw, cfg, verifier_cls=verifier_cls, defer_policy=defer_policy
     )
@@ -167,20 +160,12 @@ def build_kg(
     entities = canonical_entities(raw, comps).materialize()
     merge_stats = compute_merge_stats(verdicts, entities.count())
 
-    nmap = node_map(entities)
-    # when a sort follows, mentioned_in distinctness is finished by
-    # the per-range distinct after it, so the salted dedup shuffle is
-    # skipped: one exchange over the triple stream instead of two
     triples = entity_triples(entities).union(
-        mention_triples(
-            mentions,
-            nmap,
-            dedup="local" if sort_triples else "global",
-        )
+        mention_triples(mentions, node_map(entities))
     )
-    if sort_triples == "sharded":
+    if sharded:
         triples = sharded_sorted_triples(triples)
-    elif sort_triples:
+    else:
         triples = range_sorted_triples(triples, entities)
     return KGResult(
         triples=triples,
@@ -300,9 +285,10 @@ def sharded_sorted_triples(triples_ds, num_shards: int = 64):
 
     Measured note (10M pages, 32 cpus, single node): Ray's global Arrow
     sample-sort, which ``range_sorted_triples`` replaced, finished the
-    same 25M triples in ~25 s — on ONE node it beat this path, so the
-    flagship default is ``sort_triples=True`` and this layout is for
-    multi-node runs and for resumable partitioned output. Whether the
+    same 25M triples in ~25 s — on ONE node it beat this path, so
+    ``build_kg`` always range-sorts and this layout is for multi-node
+    runs and for resumable partitioned output
+    (``resolve_from_checkpoint(sort_triples="sharded")``). Whether the
     range exchange makes it redundant there is unmeasured.
     """
     import pandas as pd

@@ -664,15 +664,60 @@ def doc_minhash_neardup(
             )
         )
 
+    cands = _band_pairs(sigs, _NUM_BANDS, _PAIR_CAP, "minhash_band")
+    with_a = _attach_grams(cands, sigs, "doc_a", dedup=True)
+    with_b = _attach_grams(with_a, sigs, "doc_b", dedup=False)
+
+    def verify(batch: pa.Table) -> pa.Table:
+        out_a, out_b, out_j = [], [], []
+        for a, b, ga, gb in zip(
+            batch["doc_a"].to_pylist(),
+            batch["doc_b"].to_pylist(),
+            batch["grams_a"].to_pylist(),
+            batch["grams_b"].to_pylist(),
+        ):
+            sa = set(np.frombuffer(ga, dtype=np.uint64).tolist())
+            sb = set(np.frombuffer(gb, dtype=np.uint64).tolist())
+            j = len(sa & sb) / len(sa | sb) if (sa or sb) else 1.0
+            if j >= threshold:
+                out_a.append(a)
+                out_b.append(b)
+                # floor(j*1e6+0.5): j is a ratio of exact integers, so
+                # both engines compute the identical double → exact int
+                out_j.append(int(np.floor(j * 1e6 + 0.5)))
+        return pa.table(
+            {
+                "doc_a": pa.array(out_a, type=pa.int64()),
+                "doc_b": pa.array(out_b, type=pa.int64()),
+                "jac_e6": pa.array(out_j, type=pa.int64()),
+            }
+        )
+
+    cols = with_b.select_columns(["doc_a", "doc_b", "grams_a", "grams_b"])
+    return cols.map_batches(verify, batch_format="pyarrow").sort(
+        ["doc_a", "doc_b"]
+    )
+
+
+def _band_pairs(sigs_ds, n_bands: int, cap: int, kind: str):
+    """Banded LSH candidate pairs: explode each signature row's
+    ``bands`` (a fixed-size list of ``n_bands`` int64 band keys) into
+    (band_key, doc_id) rows, one ``bucket_exchange`` on the band key,
+    then every band's id pairs ``(doc_a, doc_b)`` with doc_a < doc_b,
+    at most ``cap`` per band (the drop is logged under ``kind``). A
+    pair can surface from several bands; the caller's first gram
+    attach dedups it."""
+    from ..stages.cogroup import bucket_exchange
+
     def explode(batch: pa.Table) -> pa.Table:
         col = batch["bands"]
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         flat = col.values.to_numpy(zero_copy_only=False)
-        flat = flat[col.offset * _NUM_BANDS : (col.offset + len(col)) * _NUM_BANDS]
+        flat = flat[col.offset * n_bands : (col.offset + len(col)) * n_bands]
         ids = np.repeat(
             batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-            _NUM_BANDS,
+            n_bands,
         )
         return pa.table(
             {
@@ -719,12 +764,12 @@ def doc_minhash_neardup(
                     a_l.append(bids[i])
                     b_l.append(bids[j])
                     cnt += 1
-                    if cnt >= _PAIR_CAP:
+                    if cnt >= cap:
                         break
-                if cnt >= _PAIR_CAP:
+                if cnt >= cap:
                     break
             if total > cnt:
-                _log_dropped_pairs(str(int(keys[st])), total - cnt, kind="minhash_band")
+                _log_dropped_pairs(str(int(keys[st])), total - cnt, kind=kind)
             outs_a.append(np.array(a_l, dtype=np.int64))
             outs_b.append(np.array(b_l, dtype=np.int64))
         if not outs_a:
@@ -736,46 +781,12 @@ def doc_minhash_neardup(
             }
         )
 
-    from ..stages.cogroup import bucket_exchange
-
-    cands = bucket_exchange(
-        sigs.select_columns(["doc_id", "bands"]).map_batches(
+    return bucket_exchange(
+        sigs_ds.select_columns(["doc_id", "bands"]).map_batches(
             explode, batch_format="pyarrow"
         ),
         "band_key",
         bucket_pairs,
-    )
-    with_a = _attach_grams(cands, sigs, "doc_a", dedup=True)
-    with_b = _attach_grams(with_a, sigs, "doc_b", dedup=False)
-
-    def verify(batch: pa.Table) -> pa.Table:
-        out_a, out_b, out_j = [], [], []
-        for a, b, ga, gb in zip(
-            batch["doc_a"].to_pylist(),
-            batch["doc_b"].to_pylist(),
-            batch["grams_a"].to_pylist(),
-            batch["grams_b"].to_pylist(),
-        ):
-            sa = set(np.frombuffer(ga, dtype=np.uint64).tolist())
-            sb = set(np.frombuffer(gb, dtype=np.uint64).tolist())
-            j = len(sa & sb) / len(sa | sb) if (sa or sb) else 1.0
-            if j >= threshold:
-                out_a.append(a)
-                out_b.append(b)
-                # floor(j*1e6+0.5): j is a ratio of exact integers, so
-                # both engines compute the identical double → exact int
-                out_j.append(int(np.floor(j * 1e6 + 0.5)))
-        return pa.table(
-            {
-                "doc_a": pa.array(out_a, type=pa.int64()),
-                "doc_b": pa.array(out_b, type=pa.int64()),
-                "jac_e6": pa.array(out_j, type=pa.int64()),
-            }
-        )
-
-    cols = with_b.select_columns(["doc_a", "doc_b", "grams_a", "grams_b"])
-    return cols.map_batches(verify, batch_format="pyarrow").sort(
-        ["doc_a", "doc_b"]
     )
 
 
@@ -1384,83 +1395,7 @@ def embedding_neardup_lsh(
         src = src.union(dup)
     sigs = src.map_batches(sig, batch_format="pyarrow").materialize()
 
-    def explode(batch: pa.Table) -> pa.Table:
-        col = batch["bands"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        flat = col.values.to_numpy(zero_copy_only=False)
-        flat = flat[col.offset * n_tables : (col.offset + len(col)) * n_tables]
-        ids = np.repeat(
-            batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-            n_tables,
-        )
-        return pa.table(
-            {
-                "band_key": pa.array(flat, type=pa.int64()),
-                "doc_id": pa.array(ids, type=pa.int64()),
-            }
-        )
-
-    def bucket_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates(["band_key", "doc_id"]).sort_values(
-            ["band_key", "doc_id"], kind="mergesort"
-        )
-        keys = g["band_key"].to_numpy()
-        ids = g["doc_id"].to_numpy().astype(np.int64)
-        n = len(keys)
-        empty = pd.DataFrame(
-            {
-                "doc_a": np.array([], dtype=np.int64),
-                "doc_b": np.array([], dtype=np.int64),
-            }
-        )
-        if n == 0:
-            return empty
-        start = np.nonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))[0]
-        sizes = np.diff(np.concatenate([start, [n]]))
-        outs_a, outs_b = [], []
-        s2 = start[sizes == 2]  # two-member bands vectorized
-        if len(s2):
-            outs_a.append(ids[s2])
-            outs_b.append(ids[s2 + 1])
-        for k in np.nonzero(sizes > 2)[0]:
-            st, m = int(start[k]), int(sizes[k])
-            bids = ids[st : st + m]
-            total = m * (m - 1) // 2
-            cnt = 0
-            a_l: list = []
-            b_l: list = []
-            for i in range(m):
-                for j in range(i + 1, m):
-                    a_l.append(bids[i])
-                    b_l.append(bids[j])
-                    cnt += 1
-                    if cnt >= bucket_cap:
-                        break
-                if cnt >= bucket_cap:
-                    break
-            if total > cnt:
-                _log_dropped_pairs(str(int(keys[st])), total - cnt, kind="embedding_lsh_band")
-            outs_a.append(np.array(a_l, dtype=np.int64))
-            outs_b.append(np.array(b_l, dtype=np.int64))
-        if not outs_a:
-            return empty
-        return pd.DataFrame(
-            {
-                "doc_a": np.concatenate(outs_a),
-                "doc_b": np.concatenate(outs_b),
-            }
-        )
-
-    from ..stages.cogroup import bucket_exchange
-
-    cands = bucket_exchange(
-        sigs.select_columns(["doc_id", "bands"]).map_batches(
-            explode, batch_format="pyarrow"
-        ),
-        "band_key",
-        bucket_pairs,
-    )
+    cands = _band_pairs(sigs, n_tables, bucket_cap, "embedding_lsh_band")
     with_a = _attach_grams(cands, sigs, "doc_a", dedup=True)
     with_b = _attach_grams(with_a, sigs, "doc_b", dedup=False)
 

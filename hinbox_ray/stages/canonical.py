@@ -224,42 +224,34 @@ def entity_triples(entities_ds):
     return entities_ds.map_batches(_entity_triples_batch, batch_format="pandas")
 
 
-def mention_triples(
-    mentions_ds,
-    node_map_ds,
-    *,
-    broadcast_threshold: int = 5_000_000,
-    dedup: str = "global",
-):
+# node_map rows up to which mention_triples ships the map to every
+# worker instead of attaching entity ids with a shuffle
+BROADCAST_NODE_ROWS = 5_000_000
+
+
+def mention_triples(mentions_ds, node_map_ds):
     """(entity_id, "mentioned_in", url) — one per linked article
     (reference: article link-once at mergers.py:1002-1017).
 
     Size-based plan: the node→entity map is vocabulary-scale. When it
-    fits comfortably in memory (≤ broadcast_threshold rows) it is
+    fits comfortably in memory (≤ ``BROADCAST_NODE_ROWS`` rows) it is
     shipped once per worker and every task maps node→entity locally.
-    Past the threshold, the salted co-group (stages/cogroup.py)
-    attaches ids with a shuffle.
+    Past that, the salted co-group (stages/cogroup.py) attaches ids
+    with a shuffle.
 
-    ``dedup``: "global" runs the salted (entity_id, salt) groupby —
-    exact distinctness with no other pass needed. "local" dedups only
-    within each batch (same-doc name variants resolving to one entity —
-    the dominant duplicate source, since one doc's mentions share a
-    batch) and SKIPS the shuffle; the caller must finish distinctness
-    downstream (``pipelines.kg.range_sorted_triples`` does it in its
-    per-range distinct: a subject's triples all land in one range
-    block, sorted, so equal triples are adjacent — one exchange
-    instead of two).
+    Distinctness is local: each batch drops its own repeats (same-doc
+    name variants resolving to one entity — the dominant duplicate
+    source, since one doc's mentions share a batch). The triple layout
+    after it finishes distinctness per block
+    (``pipelines.kg.range_sorted_triples`` / ``sharded_sorted_triples``:
+    a subject's triples all land in one block, sorted, so equal triples
+    are adjacent) — one exchange over the triple stream instead of two.
     """
-    from .cogroup import COALESCE_ROWS, _url_salt
+    from .cogroup import COALESCE_ROWS
     from .resolve import add_node_id
 
-    n_salts = 16
-
-    nmap_df = None
-    if node_map_ds.count() <= broadcast_threshold:
+    if node_map_ds.count() <= BROADCAST_NODE_ROWS:
         nmap_df = node_map_ds.to_pandas()
-
-    if nmap_df is not None:
         # closed-over dict, NOT a ray.put ObjectRef: Ray caches the
         # deserialized map fn per worker process, so the lookup is
         # unpickled once per worker — a per-batch ray.get of a plasma
@@ -281,9 +273,7 @@ def mention_triples(
                 }
             )
             # local dedup: same-doc name variants → one entity
-            out = out.drop_duplicates(["entity_id", "url"])
-            out["salt"] = _url_salt(out["url"], n_salts)
-            return out
+            return out.drop_duplicates(["entity_id", "url"])
 
         joined = mentions_ds.map_batches(
             project_map, batch_format="pandas", batch_size=COALESCE_ROWS
@@ -301,22 +291,7 @@ def mention_triples(
             lambda df: df.drop_duplicates(["node_id", "url"]),
             batch_format="pandas",
         )
-        joined = attach_entity_id(mention_nodes, node_map_ds, n_salts=n_salts)
-
-    if dedup == "local":
-        # distinctness finished by the caller after its sort
-        deduped = joined
-    else:
-        # distinct across name variants: two nodes in one doc can
-        # resolve to one entity. Bucketing on (entity, salt) is valid
-        # for dedup on (entity, url) because salt = f(url) — every
-        # copy of an (entity, url) pair lands in one bucket — while
-        # hot entities still spread over n_salts buckets (skew).
-        from .cogroup import bucketed_drop_duplicates
-
-        deduped = bucketed_drop_duplicates(
-            joined, ["entity_id", "url"], bucket_cols=["entity_id", "salt"]
-        )
+        joined = attach_entity_id(mention_nodes, node_map_ds)
 
     def emit(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -327,4 +302,4 @@ def mention_triples(
             }
         )
 
-    return deduped.map_batches(emit, batch_format="pandas")
+    return joined.map_batches(emit, batch_format="pandas")

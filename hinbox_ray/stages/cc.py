@@ -18,9 +18,11 @@ Edges are materialized between rounds (they are small — bounded by the
 blocking stage's per-block caps) so each round's shuffle does not replay
 the whole upstream pipeline.
 
-``components_driver`` is the explicit small-data fallback (union-find on
-the driver) used only when the caller knows the edge set is tiny; the
-dataset-native path is the default and the scale path.
+One finish rule: at the top of every round, an edge set of at most
+``DRIVER_FINISH_EDGES`` rows finishes as one union-find pass on the
+driver (``_union_find``, the same helper the per-block combiner runs);
+a larger one pays another round. ``components_driver`` is that
+union-find over a whole edge Dataset, and the tests' reference.
 """
 
 from __future__ import annotations
@@ -29,6 +31,32 @@ from typing import Dict, Tuple
 
 import numpy as np
 import pandas as pd
+
+# Edge count at or below which the rest of the problem is one O(E·α)
+# union-find pass on the driver: under it, each log-n shuffle round
+# costs more in fixed stage latency than the whole remaining problem.
+DRIVER_FINISH_EDGES = 200_000
+
+
+def _union_find(pairs) -> Dict[int, int]:
+    """Path-halving, union-by-min union-find over (u, v) pairs →
+    {node: its component's minimum node}. Union by min id keeps the
+    result deterministic whatever the pair order."""
+    parent: Dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(int(u)), find(int(v))
+        if ru != rv:
+            lo, hi = (ru, rv) if ru < rv else (rv, ru)
+            parent[hi] = lo
+    return {n: find(n) for n in list(parent)}
+
 
 def _local_contract(df: pd.DataFrame) -> pd.DataFrame:
     """Per-block union-find combiner: replace a block's edge set with its
@@ -45,23 +73,9 @@ def _local_contract(df: pd.DataFrame) -> pd.DataFrame:
     blocks, and is a one-pass compression that removes whole shuffle
     rounds downstream.
     """
-    parent: Dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in zip(df["u"].to_numpy(), df["v"].to_numpy()):
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            lo, hi = (ru, rv) if ru < rv else (rv, ru)
-            parent[hi] = lo
-    us = np.fromiter(parent.keys(), dtype=np.int64, count=len(parent))
-    vs = np.fromiter(
-        (find(k) for k in parent.keys()), dtype=np.int64, count=len(parent)
-    )
+    roots = _union_find(zip(df["u"].to_numpy(), df["v"].to_numpy()))
+    us = np.fromiter(roots.keys(), dtype=np.int64, count=len(roots))
+    vs = np.fromiter(roots.values(), dtype=np.int64, count=len(roots))
     m = us != vs
     return pd.DataFrame({"u": us[m], "v": vs[m]})
 
@@ -143,27 +157,21 @@ def _driver_finish(edges):
     component minimum is therefore still the minimum over the original
     members — so union-find-by-min on the contracted graph equals
     union-find on the raw edges."""
+    import pyarrow as pa
     import ray.data as rd
 
-    mapping = components_driver(edges)
-    items = sorted(mapping.items())
-    return rd.from_pandas(
-        pd.DataFrame(
+    items = sorted(components_driver(edges).items())
+    return rd.from_arrow(
+        pa.table(
             {
-                "node_id": np.array([k for k, _ in items], dtype=np.int64),
-                "component": np.array([v for _, v in items], dtype=np.int64),
+                "node_id": pa.array([k for k, _ in items], pa.int64()),
+                "component": pa.array([v for _, v in items], pa.int64()),
             }
         )
     )
 
 
-def connected_components(
-    edges_ds,
-    *,
-    max_rounds: int = 24,
-    small_edge_threshold: int = 200_000,
-    driver_finish_threshold: int | None = None,
-):
+def connected_components(edges_ds, *, max_rounds: int = 24):
     """edges(u:int64, v:int64) → Dataset(node_id:int64, component:int64).
 
     Every node that appears in an edge gets a row; the component id is
@@ -175,49 +183,17 @@ def connected_components(
     so callers adding other edge sources must pre-filter u == v.
 
     Size-based physical plan (the same decision as broadcast-vs-shuffle
-    join): below ``small_edge_threshold`` edges, the log-n shuffle
-    rounds cost more in fixed stage latency than the whole problem —
-    run union-find on the driver and return it as a Dataset. Above it,
-    the dataset-native star-contraction loop is the scale path, with an
-    EARLY DRIVER FINISH (Kiveris et al. §4's two-phase idea taken to
-    its hybrid conclusion): each round strictly shrinks the edge set,
-    so once it fits under ``driver_finish_threshold`` (default: same as
-    ``small_edge_threshold``) the remaining log-d rounds of shuffle
-    latency are replaced by one O(E·α) driver pass — at web scale a
+    join), checked once at the top of each round: an edge set of at
+    most ``DRIVER_FINISH_EDGES`` rows finishes on the driver and
+    returns as a Dataset. Above it, the dataset-native star-contraction
+    loop is the scale path; each round strictly shrinks the edge set,
+    so the driver finish also ends the loop early (Kiveris et al. §4's
+    two-phase idea taken to its hybrid conclusion) — at web scale a
     10^8-edge blocking graph contracts under the threshold in 1–2
-    rounds instead of ~10. Set ``driver_finish_threshold=0`` to force
-    pure shuffle rounds (the multi-node path where the driver must
-    never hold an edge set; the forced-scale tests pin it).
+    rounds instead of ~10. Tests set the constant to 0 to force pure
+    shuffle rounds (the multi-node path where the driver must never
+    hold an edge set).
     """
-    edges = edges_ds.materialize()
-    n_edges = edges.count()
-    if driver_finish_threshold is None:
-        driver_finish_threshold = small_edge_threshold
-    if 0 < n_edges <= small_edge_threshold:
-        return _driver_finish(edges)
-    if n_edges == 0:
-        import pyarrow as pa
-        import ray.data as rd
-
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "node_id": pa.array([], pa.int64()),
-                    "component": pa.array([], pa.int64()),
-                }
-            )
-        )
-
-    # Map-side combiner: contract each block locally before any shuffle.
-    # Materialized so the contracted (smaller, shallower) set — not the
-    # raw edges — is what every round's shuffle and checksum read.
-    edges = edges.map_batches(
-        _local_contract, batch_format="pandas", batch_size=None
-    ).materialize()
-    n_cur = edges.count()
-    if 0 < n_cur <= driver_finish_threshold:
-        return _driver_finish(edges)
-
     # Alternate large-star / small-star, REPLACING the edge set each
     # half-round (Kiveris et al. Alg. 2). Unioning with the previous
     # round's edges — the naive reading — accumulates stale edges and
@@ -225,20 +201,16 @@ def connected_components(
     # memory before converging). In-block drop_duplicates bounds
     # transient multi-edges without a global dedup shuffle; the
     # converged star forest is duplicate-free, so the checksum settles.
+    # Every round opens with the per-block union-find combiner
+    # (``_contract_symmetrize``), so the first exchange already reads
+    # locally contracted stars.
     from .cogroup import bucket_exchange
 
+    edges = edges_ds.materialize()
     prev_n, prev_sig = -1, None
     for _ in range(max_rounds):
-        large = bucket_exchange(
-            edges.map_batches(
-                _contract_symmetrize, batch_format="pandas", batch_size=None
-            ),
-            "u",
-            _large_star,
-        )
-        edges = bucket_exchange(large, "u", _small_star).materialize()
         n_cur = edges.count()
-        if 0 < n_cur <= driver_finish_threshold:
+        if n_cur <= DRIVER_FINISH_EDGES:
             return _driver_finish(edges)
         # convergence test in two tiers: a fixpoint implies an unchanged
         # edge COUNT (metadata-only on a materialized set), so the full
@@ -252,6 +224,14 @@ def connected_components(
         else:
             prev_sig = None
         prev_n = n_cur
+        large = bucket_exchange(
+            edges.map_batches(
+                _contract_symmetrize, batch_format="pandas", batch_size=None
+            ),
+            "u",
+            _large_star,
+        )
+        edges = bucket_exchange(large, "u", _small_star).materialize()
 
     # converged star forest: (child → root) plus one self-row per root
     def to_mapping(df: pd.DataFrame) -> pd.DataFrame:
@@ -272,20 +252,10 @@ def connected_components(
 
 
 def components_driver(edges_ds) -> Dict[int, int]:
-    """Driver-side union-find fallback for provably-small edge sets."""
-    parent: Dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for batch in edges_ds.iter_batches(batch_format="pandas"):
-        for u, v in zip(batch["u"], batch["v"]):
-            ru, rv = find(int(u)), find(int(v))
-            if ru != rv:
-                # union by min id keeps determinism
-                lo, hi = (ru, rv) if ru < rv else (rv, ru)
-                parent[hi] = lo
-    return {n: find(n) for n in list(parent)}
+    """Union-find over a whole edge Dataset on the driver: the driver
+    finish, and the tests' reference."""
+    return _union_find(
+        (u, v)
+        for batch in edges_ds.iter_batches(batch_format="pandas")
+        for u, v in zip(batch["u"], batch["v"])
+    )

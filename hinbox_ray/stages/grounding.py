@@ -310,7 +310,7 @@ def grounding_from_sf(sf_dir: str, *, memo_dir: Optional[str] = None):
     from ..sources.pages import pages_dataset
     from .extract import extract_and_filter
 
-    res = build_kg_from_sf(sf_dir, sort_triples=False)
+    res = build_kg_from_sf(sf_dir)
     profiles = entity_profiles(res.entities, res.mentions).materialize()
     docs = extract_and_filter(pages_dataset(sf_dir)).select_columns(["url", "text"])
     return ground_profiles(profiles, docs, memo_dir=memo_dir).sort("entity_id")

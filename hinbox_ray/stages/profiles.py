@@ -320,7 +320,7 @@ def profiles_from_sf(sf_dir: str, *, max_versions: int = 8):
     ``kg_profiles`` query entry)."""
     from ..pipelines.kg import build_kg_from_sf
 
-    res = build_kg_from_sf(sf_dir, sort_triples=False)
+    res = build_kg_from_sf(sf_dir)
     return entity_profiles(
         res.entities, res.mentions, max_versions=max_versions
     ).sort("entity_id")

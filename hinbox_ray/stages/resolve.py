@@ -441,14 +441,14 @@ def candidate_pairs(raw_entities_ds, cfg: Optional[DomainConfig] = None):
     return bucketed_drop_duplicates(pairs, ["u", "v"])
 
 
-def candidate_edges(
+def candidate_edges_with_verdicts(
     raw_entities_ds,
     cfg: Optional[DomainConfig] = None,
     *,
     verifier_cls=None,
     defer_policy: str = "skip",
 ):
-    """raw entities → VERDICT-GATED candidate-match edges (node pairs).
+    """raw entities → (VERDICT-GATED candidate-match edges, verdicts).
 
     Round-2 semantics (reference mergers.py:907-942 + the dispute
     override pinned by its tests/test_merge_dispute_agent_routing.py):
@@ -458,24 +458,10 @@ def candidate_edges(
     follows ``defer_policy`` ("skip" → no merge, the rows are the
     review-queue side output; "merge" → dispute resolved as merge).
     Swapping ``verifier_cls`` for an LLM-backed checker changes the
-    merge topology with no other code change.
-    """
-    edges, _ = candidate_edges_with_verdicts(
-        raw_entities_ds, cfg, verifier_cls=verifier_cls, defer_policy=defer_policy
-    )
-    return edges
-
-
-def candidate_edges_with_verdicts(
-    raw_entities_ds,
-    cfg: Optional[DomainConfig] = None,
-    *,
-    verifier_cls=None,
-    defer_policy: str = "skip",
-):
-    """(edges, verdicts) — verdicts is the materialized per-pair verdict
-    Dataset (vocabulary-scale), reusable for MergeStats + review queue
-    without re-running blocking/verification."""
+    merge topology with no other code change. ``verdicts`` is the
+    materialized per-pair verdict Dataset (vocabulary-scale), reusable
+    for MergeStats + review queue without re-running
+    blocking/verification."""
     import pyarrow as _pa
 
     from .verify import DEFER, MATCH, verify_pairs

@@ -15,8 +15,9 @@ This engine's deterministic analog:
   the reference's client + LRU live); verdicts are MATCH / SKIP / DEFER.
   A real LLM checker replaces ``_decide`` only.
 - Round 2: the verdict GATES the merge (reference semantics) —
-  ``resolve.candidate_edges`` keeps only MATCH pairs as edges (DEFER per
-  policy), so swapping the verifier class changes resolution topology.
+  ``resolve.candidate_edges_with_verdicts`` keeps only MATCH pairs as
+  edges (DEFER per policy), so swapping the verifier class changes
+  resolution topology.
   The deterministic ``_decide`` declares MATCH exactly when
   ``mentions_match`` (the oracle's predicate) does, so the default
   topology is unchanged from round 1 and P/R = 1.0 is preserved.

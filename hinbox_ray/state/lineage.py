@@ -247,6 +247,11 @@ def resolve_from_checkpoint(
     sorted triples Parquet (tmp+rename, so a crash never leaves a
     half-written final output).
 
+    Resolution is ``pipelines/kg.resolve_mentions``, the same tail
+    ``build_kg`` runs, so both entry points build the same graph from
+    the same mentions (an empty checkpoint included: zero triples and
+    zero merge stats).
+
     ``with_profiles=True`` additionally builds the versioned profiles
     (stages/profiles.py, A6) and folds the G3 reflection counters
     (total/avg attempts, reference process_and_extract.py:343-362) into
@@ -262,18 +267,8 @@ def resolve_from_checkpoint(
     prune by shard."""
     import ray.data as rd
 
-    from ..pipelines.kg import KGResult
-    from ..stages.canonical import (
-        canonical_entities,
-        entity_triples,
-        mention_triples,
-        node_map,
-    )
-    from ..stages.cc import connected_components
-    from ..stages.resolve import candidate_edges_with_verdicts, raw_entities
-    from ..stages.verify import compute_merge_stats
+    from ..pipelines.kg import resolve_mentions
 
-    cfg = cfg or DomainConfig()
     mention_files = sorted(
         os.path.join(out_dir, "mentions", d, f)
         for d in os.listdir(os.path.join(out_dir, "mentions"))
@@ -281,32 +276,19 @@ def resolve_from_checkpoint(
         for f in os.listdir(os.path.join(out_dir, "mentions", d))
         if f.endswith(".parquet")
     )
-    mentions = rd.read_parquet(mention_files)
+    sharded = sort_triples == "sharded"
+    result = resolve_mentions(rd.read_parquet(mention_files), cfg, sharded=sharded)
 
-    raw = raw_entities(mentions).materialize()
-    edges, verdicts = candidate_edges_with_verdicts(raw, cfg)
-    comps = connected_components(edges)
-    entities = canonical_entities(raw, comps).materialize()
-    merge_stats = compute_merge_stats(verdicts, entities.count())
-    profiles = None
-    stats_doc = merge_stats.to_dict()
-    if with_profiles:
+    stats_doc = result.merge_stats.to_dict()
+    # an empty checkpoint has no canonical entities to profile
+    if with_profiles and result.entities.count():
         from ..stages.profiles import entity_profiles, reflection_stats
 
-        profiles = entity_profiles(entities, mentions).materialize()
-        stats_doc.update(reflection_stats(profiles))
+        result.profiles = entity_profiles(
+            result.entities, result.mentions
+        ).materialize()
+        stats_doc.update(reflection_stats(result.profiles))
     _atomic_write_json(os.path.join(out_dir, "merge_stats.json"), stats_doc)
-    nmap = node_map(entities)
-    triples = entity_triples(entities).union(
-        mention_triples(mentions, nmap, dedup="local")
-    )
-    from ..pipelines.kg import range_sorted_triples, sharded_sorted_triples
-
-    sharded = sort_triples == "sharded"
-    if sharded:
-        triples = sharded_sorted_triples(triples)
-    else:
-        triples = range_sorted_triples(triples, entities)
 
     if write_triples:
         final = os.path.join(out_dir, "triples")
@@ -316,19 +298,22 @@ def resolve_from_checkpoint(
         if sharded:
             # one directory per shard (hive layout): independently
             # replaceable / skippable units for a multi-node resume
-            triples.write_parquet(tmp, partition_cols=["shard"])
+            result.triples.write_parquet(tmp, partition_cols=["shard"])
         else:
-            triples.write_parquet(tmp)
+            result.triples.write_parquet(tmp)
+        if not os.path.isdir(tmp):
+            # Ray writes no directory for zero rows; keep the output
+            # readable with one empty file of the triple schema
+            import pyarrow.parquet as pq
+
+            from ..stages.canonical import TRIPLES_SCHEMA
+
+            os.makedirs(tmp)
+            pq.write_table(
+                TRIPLES_SCHEMA.empty_table(), os.path.join(tmp, "empty.parquet")
+            )
         if os.path.isdir(final):
             shutil.rmtree(final)
         os.replace(tmp, final)
-        triples = rd.read_parquet(final)
-
-    return KGResult(
-        triples=triples,
-        entities=entities,
-        mentions=mentions,
-        verdicts=verdicts,
-        merge_stats=merge_stats,
-        profiles=profiles,
-    )
+        result.triples = rd.read_parquet(final)
+    return result

@@ -81,34 +81,40 @@ def test_matches_driver_union_find(ray_session):
     assert got == drv
 
 
-def test_dataset_native_path_forced_scale(ray_session):
+def test_dataset_native_path_forced_scale(ray_session, monkeypatch):
     """≥100k edges through the bucketed shuffle rounds (threshold=0)
     must match the driver union-find exactly — pins the scale path the
-    flagship relies on above small_edge_threshold."""
+    flagship relies on above DRIVER_FINISH_EDGES."""
     import ray.data as rd
 
+    from hinbox_ray.stages import cc
     from hinbox_ray.stages.cc import components_driver, connected_components
+
+    monkeypatch.setattr(cc, "DRIVER_FINISH_EDGES", 0)
 
     rng = np.random.default_rng(11)
     u = rng.integers(0, 80_000, 120_000).astype(np.int64)
     v = rng.integers(0, 80_000, 120_000).astype(np.int64)
     m = u != v
     edges = rd.from_pandas(pd.DataFrame({"u": u[m], "v": v[m]})).materialize()
-    comps = connected_components(edges, small_edge_threshold=0).to_pandas()
+    comps = connected_components(edges).to_pandas()
     truth = components_driver(edges)
     got = dict(zip(comps.node_id, comps.component))
     assert got == truth
     assert len(got) == len(truth)
 
 
-def test_dataset_native_path_dense_and_chain(ray_session):
+def test_dataset_native_path_dense_and_chain(ray_session, monkeypatch):
     """Force the shuffle-round path (threshold=0) on graphs that broke
     the union-accumulating variant: dense random and a long path."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
+    from hinbox_ray.stages import cc
     from hinbox_ray.stages.cc import components_driver, connected_components
+
+    monkeypatch.setattr(cc, "DRIVER_FINISH_EDGES", 0)
 
     rng = np.random.default_rng(3)
     cases = {
@@ -122,18 +128,19 @@ def test_dataset_native_path_dense_and_chain(ray_session):
                 {"u": u[m].astype(np.int64), "v": v[m].astype(np.int64)}
             )
         )
-        comps = connected_components(edges, small_edge_threshold=0).to_pandas()
+        comps = connected_components(edges).to_pandas()
         truth = components_driver(edges)
         got = dict(zip(comps.node_id, comps.component))
         assert got == truth, name
 
 
-def test_driver_finish_hybrid_matches(ray_session):
+def test_driver_finish_hybrid_matches(ray_session, monkeypatch):
     """Early driver finish (rounds until the contracted edge set fits,
     then one union-find pass) must equal both the pure-rounds path and
     the raw-edge driver union-find."""
     import ray.data as rd
 
+    from hinbox_ray.stages import cc
     from hinbox_ray.stages.cc import components_driver, connected_components
 
     rng = np.random.default_rng(23)
@@ -142,12 +149,10 @@ def test_driver_finish_hybrid_matches(ray_session):
     m = u != v
     edges = rd.from_pandas(pd.DataFrame({"u": u[m], "v": v[m]})).materialize()
     truth = components_driver(edges)
-    hybrid = connected_components(
-        edges, small_edge_threshold=0, driver_finish_threshold=120_000
-    ).to_pandas()
+    monkeypatch.setattr(cc, "DRIVER_FINISH_EDGES", 120_000)
+    hybrid = connected_components(edges).to_pandas()
     assert dict(zip(hybrid.node_id, hybrid.component)) == truth
     # finish-immediately (huge threshold) also exact
-    fast = connected_components(
-        edges, small_edge_threshold=0, driver_finish_threshold=10**9
-    ).to_pandas()
+    monkeypatch.setattr(cc, "DRIVER_FINISH_EDGES", 10**9)
+    fast = connected_components(edges).to_pandas()
     assert dict(zip(fast.node_id, fast.component)) == truth

@@ -97,3 +97,15 @@ def test_domain_scaffolding(tmp_path):
         == "fromtemplate"
     )
     assert list_domains(cdir) == ["copyme", "mydomain"]
+
+
+def test_sharded_triples_requires_resume(tmp_path):
+    """Only the resume path writes the sharded layout, so the flag alone
+    is refused as a usage error before any Ray session starts."""
+    from hinbox_ray.__main__ import main
+
+    argv = ["--pages", str(tmp_path / "pages"), "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--sharded-triples"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()

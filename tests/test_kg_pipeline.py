@@ -118,7 +118,7 @@ def test_write_kg_partitioned_roundtrip(ray_session, tmp_path):
     assert "entity_id" in ents.column_names
 
 
-def test_sorted_triples_are_globally_distinct(ray_session):
+def test_sorted_triples_are_globally_distinct(ray_session, monkeypatch):
     """Dedup-after-sort correctness: with the salted dedup shuffle
     removed, the post-sort adjacent-distinct pass must leave no
     duplicate (subj, pred, obj) anywhere — including across block
@@ -155,21 +155,24 @@ def test_sorted_triples_are_globally_distinct(ray_session):
     # the variant pairs truly merged (worst case exercised)
     n_people = len(res.entities.to_pandas().query("entity_type == 'people'"))
     assert n_people == 1
-    # the salted co-group branch (taken above broadcast_threshold)
-    # links exactly the (entity, url) pairs of the broadcast lookup
-    from hinbox_ray.stages.canonical import mention_triples, node_map
+    # the salted co-group branch (taken above BROADCAST_NODE_ROWS)
+    # links exactly the (entity, url) pairs of the broadcast lookup;
+    # both finish distinctness per block downstream, so compare sets
+    from hinbox_ray.stages import canonical
 
-    nmap = node_map(res.entities).materialize()
-    by_path = [
-        sorted(
-            mention_triples(res.mentions, nmap, broadcast_threshold=t)
-            .to_pandas()[["subj", "pred", "obj"]]
-            .itertuples(index=False, name=None)
+    nmap = canonical.node_map(res.entities).materialize()
+    by_path = []
+    for t in (5_000_000, 0):
+        monkeypatch.setattr(canonical, "BROADCAST_NODE_ROWS", t)
+        by_path.append(
+            set(
+                canonical.mention_triples(res.mentions, nmap)
+                .to_pandas()[["subj", "pred", "obj"]]
+                .itertuples(index=False, name=None)
+            )
         )
-        for t in (5_000_000, 0)
-    ]
     assert by_path[0] == by_path[1]
-    assert by_path[0] == sorted(
+    assert by_path[0] == set(
         m[["subj", "pred", "obj"]].itertuples(index=False, name=None)
     )
 

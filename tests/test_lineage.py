@@ -208,7 +208,6 @@ def test_sharded_sorted_triples_matches_global_sort(ray_session, tmp_path):
 
     res = build_kg(
         rd.from_arrow(generate_pages_table(150)), concurrency=2,
-        sort_triples=False,
     )
     sharded = sharded_sorted_triples(res.triples, num_shards=8).to_pandas()
     global_sorted = (
@@ -278,3 +277,28 @@ def test_validate_shards_on_resumed_sharded_run(ray_session, corpus, tmp_path):
     assert any(
         "disjointness" in e or "not sorted" in e for e in rep2["errors"]
     ), rep2["errors"]
+
+
+@pytest.mark.parametrize("sort_triples", ["global", "sharded"])
+def test_resolve_zero_mention_checkpoint(ray_session, tmp_path, sort_triples):
+    """A checkpoint holding only an empty mentions file resolves to zero
+    triples and zero merge stats, in either layout, and leaves a
+    readable triples directory."""
+    import pyarrow.parquet as pq
+
+    from hinbox_ray.stages.mentions import MENTIONS_SCHEMA
+    from hinbox_ray.state.lineage import resolve_from_checkpoint
+
+    out = str(tmp_path / "run")
+    part = os.path.join(out, "mentions", "part-a")
+    os.makedirs(part)
+    pq.write_table(MENTIONS_SCHEMA.empty_table(), os.path.join(part, "m.parquet"))
+
+    res = resolve_from_checkpoint(
+        out, with_profiles=True, sort_triples=sort_triples
+    )
+    assert res.triples.count() == 0
+    assert _triples(out) == []
+    with open(os.path.join(out, "merge_stats.json")) as f:
+        stats = json.load(f)
+    assert stats["total"] == 0 and stats["new"] == 0

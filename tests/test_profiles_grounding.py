@@ -59,7 +59,6 @@ def kg_small(ray_session):
 
     res = build_kg(
         rd.from_arrow(generate_pages_table(150)), concurrency=2,
-        sort_triples=False,
     )
     res.mentions = res.mentions.materialize()
     return res

@@ -58,3 +58,14 @@ def test_only_cogroup_computes_shuffle_buckets():
     """The bucket hash of an exchange is decided in one place: callers
     pass key columns, not bucket columns."""
     assert _hits(r"\bkey_buckets\(", exempt=["hinbox_ray/stages/cogroup.py"]) == []
+
+
+def test_one_resolution_tail():
+    """``build_kg`` and the resume path share one resolution tail,
+    ``pipelines.kg.resolve_mentions``: no other module calls its
+    stages (definitions excepted)."""
+    stages = (
+        r"(?<!def )\b(canonical_entities|candidate_edges_with_verdicts"
+        r"|range_sorted_triples|sharded_sorted_triples)\("
+    )
+    assert _hits(stages, exempt=["hinbox_ray/pipelines/kg.py"]) == []

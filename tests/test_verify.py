@@ -99,7 +99,7 @@ def test_forced_skip_verdict_splits_merge(ray_session):
 
     pages_tbl = generate_pages_table(200)
 
-    base = build_kg(rd.from_arrow(pages_tbl), concurrency=2, sort_triples=False)
+    base = build_kg(rd.from_arrow(pages_tbl), concurrency=2)
     ents = base.entities.to_pandas()
 
     def eid_of(df, name):
@@ -119,7 +119,6 @@ def test_forced_skip_verdict_splits_merge(ray_session):
     split = build_kg(
         rd.from_arrow(pages_tbl),
         concurrency=2,
-        sort_triples=False,
         verifier_cls=_split_qahtani_cls(),
     )
     sents = split.entities.to_pandas()
@@ -140,11 +139,10 @@ def test_defer_policy_merge(ray_session):
     from hinbox_ray.sources.pages import generate_pages_table
 
     pages_tbl = generate_pages_table(150)
-    base = build_kg(rd.from_arrow(pages_tbl), concurrency=2, sort_triples=False)
+    base = build_kg(rd.from_arrow(pages_tbl), concurrency=2)
     merged = build_kg(
         rd.from_arrow(pages_tbl),
         concurrency=2,
-        sort_triples=False,
         verifier_cls=_merge_all_defers_cls(),
         defer_policy="merge",
     )
@@ -157,7 +155,7 @@ def test_merge_stats_emitted(ray_session):
     from hinbox_ray.sources.pages import generate_pages_table
 
     res = build_kg(
-        rd.from_arrow(generate_pages_table(100)), concurrency=2, sort_triples=False
+        rd.from_arrow(generate_pages_table(100)), concurrency=2
     )
     s = res.merge_stats
     assert s is not None and s.new == res.entities.count()
