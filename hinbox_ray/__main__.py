@@ -2,7 +2,7 @@
 ``python -m src.process_and_extract`` (process_and_extract.py:770-870).
 
     python -m hinbox_ray --pages <dir-or-file> --out <dir> \
-        [--domain-config config.yaml] [--limit N] [--resume [--sharded-triples]]
+        [--domain-config config.yaml] [--limit N] [--resume]
 
 Reads a pages Parquet corpus (url, warc_ts, html, text, lang), runs the
 KG-construction pipeline, and writes triples/ + entities/ Parquet under
@@ -39,12 +39,6 @@ def main(argv=None) -> int:
     ap.add_argument("--limit", type=int, help="head-of-corpus limit (reference --limit)")
     ap.add_argument("--resume", action="store_true", help="checkpoint + resume extraction per partition")
     ap.add_argument("--num-cpus", type=int, default=None)
-    ap.add_argument(
-        "--sharded-triples",
-        action="store_true",
-        help="with --resume: write triples hash-sharded + per-shard sorted "
-        "(multi-node resume layout; default is the range-sorted layout)",
-    )
     args = ap.parse_args(argv)
 
     if args.init_domain or args.list_domains:
@@ -59,10 +53,6 @@ def main(argv=None) -> int:
         return 0
     if not args.pages or not args.out:
         ap.error("--pages and --out are required (unless scaffolding domains)")
-    if args.sharded_triples and not args.resume:
-        # only the resume path writes the sharded layout; build_kg always
-        # writes the range-sorted one
-        ap.error("--sharded-triples requires --resume")
 
     import ray
 
@@ -77,8 +67,6 @@ def main(argv=None) -> int:
             kwargs["num_cpus"] = args.num_cpus
         ray.init(**kwargs)
 
-    import ray.data as rd
-
     from .config import DomainConfig
     from .pipelines.kg import build_kg, write_kg
 
@@ -89,8 +77,6 @@ def main(argv=None) -> int:
     )
 
     if args.resume:
-        import os
-
         from .state.lineage import resolve_from_checkpoint, run_extract_with_resume
 
         if args.limit:
@@ -99,27 +85,19 @@ def main(argv=None) -> int:
             # --limit semantics (process_and_extract.py:180-184)
             ap.error("--limit is incompatible with --resume (resume is per input shard)")
         run_extract_with_resume(args.pages, args.out, cfg)
-        # writes {out}/triples atomically (tmp+rename)
-        result = resolve_from_checkpoint(
-            args.out,
-            cfg,
-            sort_triples="sharded" if args.sharded_triples else "global",
-        )
-        result.entities.drop_columns(["member_nodes"]).write_parquet(
-            os.path.join(args.out, "entities")
-        )
-        tri_dir = os.path.join(args.out, "triples")
+        _, written = resolve_from_checkpoint(args.out, cfg)
     else:
         from .sources.reader import read_parquet_clean
 
         pages = read_parquet_clean(args.pages)
         if args.limit:
             pages = pages.limit(args.limit)
-        result = build_kg(pages, cfg)
-        tri_dir = write_kg(result, args.out)["triples_dir"]
+        written = write_kg(build_kg(pages, cfg), args.out)
 
-    n = result.triples.count()
-    print(f"wrote {n} triples to {tri_dir}", file=sys.stderr)
+    print(
+        f"wrote {written['n_triples']} triples to {written['triples_dir']}",
+        file=sys.stderr,
+    )
     ray.shutdown()
     return 0
 

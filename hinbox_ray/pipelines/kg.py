@@ -14,7 +14,9 @@ Stage graph (SURVEY.md §7.1), all Ray Data:
       → triples: entity triples ∪ mentioned_in (broadcast node map)
       → range exchange on exact subject ranges         final SHUFFLE
         (cut points from the entity table, no sampling pass) →
-        per-block adjacent distinct → one file per range
+        per-block adjacent distinct
+    write_kg (both entry points): one sorted file per range under
+      triples/, entities/, merge_stats.json — each renamed into place
 
 Everything else streams. The materialized intermediates are the
 mention boundary (read by two consumers) and the vocabulary-scale
@@ -23,15 +25,19 @@ resolution tables (raw entities, verdicts, canonical entities).
 
 from __future__ import annotations
 
+import os
+import shutil
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..config import DomainConfig
 from ..stages.canonical import (
+    ENTITIES_SCHEMA,
     TRIPLES_SCHEMA,
     canonical_entities,
     entity_triples,
@@ -103,8 +109,6 @@ def build_kg(
         # re-read it with column pruning (mention_triples never pays for
         # evidence/description bytes). This is also the production
         # resume boundary (state/lineage.py checkpoints the same stage).
-        import os
-        import shutil
         import tempfile
 
         from ..sources.reader import read_parquet_clean
@@ -127,21 +131,20 @@ def resolve_mentions(
     *,
     verifier_cls=None,
     defer_policy: str = "skip",
-    sharded: bool = False,
 ) -> KGResult:
     """Mentions → graph: the resolution tail of both ``build_kg`` and
     the resume path (``state/lineage.resolve_from_checkpoint``).
 
     Raw entities → verdict-gated candidate edges → connected components
     → canonical entities (+ merge stats) → entity triples ∪ mentioned_in
-    triples → ``range_sorted_triples`` (``sharded_sorted_triples`` when
-    ``sharded``). Every intermediate from the raw entities on is
-    vocabulary-scale (distinct names), so materializing them is cheap
-    and avoids re-running their shuffles. The stages are called through
+    triples → ``range_sorted_triples``. Every intermediate from the raw
+    entities on is vocabulary-scale (distinct names), so materializing
+    them is cheap and avoids re-running their shuffles. The stages are called through
     this module's globals, where per-layer tracing wraps them.
 
-    A corpus with no mentions returns well-typed empty triples and zero
-    merge stats: its blocks would carry no schema downstream."""
+    A corpus with no mentions returns well-typed empty triples and
+    entities and zero merge stats: its blocks would carry no schema
+    downstream."""
     cfg = cfg or DomainConfig()
     raw = raw_entities(mentions).materialize()
     if raw.count() == 0:
@@ -149,7 +152,7 @@ def resolve_mentions(
 
         return KGResult(
             triples=rd.from_arrow(TRIPLES_SCHEMA.empty_table()),
-            entities=raw,
+            entities=rd.from_arrow(ENTITIES_SCHEMA.empty_table()),
             mentions=mentions,
             merge_stats=MergeStats(),
         )
@@ -163,12 +166,8 @@ def resolve_mentions(
     triples = entity_triples(entities).union(
         mention_triples(mentions, node_map(entities))
     )
-    if sharded:
-        triples = sharded_sorted_triples(triples)
-    else:
-        triples = range_sorted_triples(triples, entities)
     return KGResult(
-        triples=triples,
+        triples=range_sorted_triples(triples, entities),
         entities=entities,
         mentions=mentions,
         verdicts=verdicts,
@@ -211,9 +210,16 @@ def range_sorted_triples(triples_ds, entities_ds):
     the range ids as boundaries (one output block per range, in key
     order), then an adjacent distinct per block. A subject lies in one
     range, so distinctness and file order are exact by construction;
-    the cut points only move balance. The boundaries are never an
-    empty list, which would make Ray sample them: ``1..k-1`` for ``k``
-    ranges, ``[1]`` when one subject leaves a second block empty."""
+    the cut points only move balance.
+
+    The boundaries are never an empty list, which would make Ray sample
+    them: ``1..k-1`` for ``k`` ranges, ``[1]`` for a single subject.
+    Ray emits an output range with no rows as a block with no columns
+    and passes it through maps without calling them, so a single
+    subject's empty second range gets one null-subject row, which the
+    distinct drops: every block keeps the triple schema."""
+    import ray.data as rd
+
     cuts = subject_cuts(entities_ds)
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -229,31 +235,27 @@ def range_sorted_triples(triples_ds, entities_ds):
             }
         )
 
-    return (
-        triples_ds.map_batches(
-            tag, batch_format="pyarrow", batch_size=COALESCE_ROWS
-        )
-        .sort(
-            ["_range", "subj", "pred", "obj"],
-            boundaries=list(range(1, max(2, len(cuts) + 1))),
-        )
-        .map_batches(
-            _distinct_range_block, batch_format="pyarrow", batch_size=None
-        )
+    tagged = triples_ds.map_batches(
+        tag, batch_format="pyarrow", batch_size=COALESCE_ROWS
     )
+    if not len(cuts):
+        pad = {c: pa.nulls(1, pa.string()) for c in ("subj", "pred", "obj")}
+        pad = pa.table({"_range": pa.array([1], pa.int64()), **pad})
+        tagged = tagged.union(rd.from_arrow(pad))
+    return tagged.sort(
+        ["_range", "subj", "pred", "obj"],
+        boundaries=list(range(1, max(2, len(cuts) + 1))),
+    ).map_batches(_distinct_range_block, batch_format="pyarrow", batch_size=None)
 
 
-def _distinct_range_block(batch):
-    """One range block → its distinct triples without ``_range``."""
-    return _distinct_sorted_block(batch.drop_columns(["_range"]))
-
-
-def _distinct_sorted_block(batch):
-    """Adjacent-distinct over one block sorted on (subj, pred, obj)
-    (a vectorized Arrow compare of each row against its predecessor).
-    Exact over the whole dataset because the exchange before it keeps
-    every subject in one block (a range in ``range_sorted_triples``, a
-    hash shard in ``sharded_sorted_triples``)."""
+def _distinct_range_block(batch: pa.Table) -> pa.Table:
+    """One range block → its distinct triples, without ``_range`` or
+    the padding row: a vectorized Arrow compare of each row against its
+    predecessor. Exact over the whole dataset because every subject's
+    triples sit sorted in one range block."""
+    if batch["subj"].null_count:
+        batch = batch.filter(pc.is_valid(batch["subj"]))
+    batch = batch.drop_columns(["_range"])
     n = batch.num_rows
     if n <= 1:
         return batch
@@ -267,63 +269,6 @@ def _distinct_sorted_block(batch):
     return batch.filter(pa.array(keep))
 
 
-def sharded_sorted_triples(triples_ds, num_shards: int = 64):
-    """Hash-bucketed, per-shard-sorted triples — the scale path for the
-    final sort (round-1 VERDICT #8: at 10M pages the global sample-sort
-    barrier pressures the object store and scaling efficiency drops
-    0.80 → 0.65).
-
-    Plan: shard = hash(subj) % num_shards (int64), one keyed exchange
-    on the INT shard (cheap comparisons, no string sample-sort), then
-    each shuffle block sorts ONLY its own rows by (shard, subj, pred,
-    obj) with the Arrow sort kernel. Every shard lies whole in one
-    block and all triples of one subject co-locate in one shard, so
-    shards are independently consumable range files — exactly the
-    "range-partitioned sorted shards" layout write_kg emits one file
-    per block. Output keeps the ``shard`` column so a consumer can
-    prune.
-
-    Measured note (10M pages, 32 cpus, single node): Ray's global Arrow
-    sample-sort, which ``range_sorted_triples`` replaced, finished the
-    same 25M triples in ~25 s — on ONE node it beat this path, so
-    ``build_kg`` always range-sorts and this layout is for multi-node
-    runs and for resumable partitioned output
-    (``resolve_from_checkpoint(sort_triples="sharded")``). Whether the
-    range exchange makes it redundant there is unmeasured.
-    """
-    import pandas as pd
-
-    from ..stages.cogroup import bucket_exchange
-
-    def add_shard(df: "pd.DataFrame") -> "pd.DataFrame":
-        df = df.copy()
-        df["shard"] = (
-            pd.util.hash_pandas_object(df["subj"], index=False).to_numpy()
-            % num_shards
-        ).astype(np.int64)
-        return df
-
-    def sort_shards(g: "pd.DataFrame") -> pa.Table:
-        # sorted + adjacent-distinct: the block holds ALL rows of each
-        # of its shards (hash partition), so the distinct is exact
-        return _distinct_sorted_block(
-            pa.Table.from_pandas(g, preserve_index=False).sort_by(
-                [
-                    ("shard", "ascending"),
-                    ("subj", "ascending"),
-                    ("pred", "ascending"),
-                    ("obj", "ascending"),
-                ]
-            )
-        )
-
-    return bucket_exchange(
-        triples_ds.map_batches(add_shard, batch_format="pandas"),
-        "shard",
-        sort_shards,
-    )
-
-
 def build_kg_from_sf(
     sf_dir: str, cfg: Optional[DomainConfig] = None, *, repeat: int = 1, **kwargs
 ) -> KGResult:
@@ -333,25 +278,56 @@ def build_kg_from_sf(
 
 
 def write_kg(result: KGResult, out_dir: str) -> dict:
-    """Materialize the graph as partitioned Parquet.
+    """Write the graph under ``out_dir``: ``triples/`` (one sorted,
+    distinct file per subject range, file-name order equal to key
+    order), ``entities/`` and ``merge_stats.json``. Both entry points
+    write through here (``build_kg`` and
+    ``state/lineage.resolve_from_checkpoint``).
 
-    ``triples/`` and ``entities/`` each get one file per block (never
-    one giant file), so a consumer can list/read shards independently
-    and a re-run with the same out_dir replaces shards atomically at
-    the filesystem level. Corpus-scale resume lives one stage earlier
-    (state/lineage.py checkpoints mentions per input partition);
-    everything from mentions to triples is vocabulary-scale and cheap
-    to recompute.
-    """
-    import os
+    Each directory is written to ``<name>.tmp`` and renamed into place,
+    and the stats file likewise, so a crash never leaves a half-written
+    output and a re-run replaces the old one. A table with no rows gets
+    one empty file of its schema (Ray writes no directory for it), so
+    both directories always read back typed. ``merge_stats.json`` holds
+    the G3 reflection counters too when ``result.profiles`` is set.
 
-    tri_dir = os.path.join(out_dir, "triples")
-    ent_dir = os.path.join(out_dir, "entities")
-    result.triples.write_parquet(tri_dir)
-    result.entities.drop_columns(["member_nodes"]).write_parquet(ent_dir)
-    if result.merge_stats is not None:
-        import json
+    Returns both directories and ``n_triples``, read from the written
+    files' Parquet footers: counting the lazy ``result.triples`` would
+    run the triple exchange again."""
+    from ..state.lineage import atomic_write_json
 
-        with open(os.path.join(out_dir, "merge_stats.json"), "w") as f:
-            json.dump(result.merge_stats.to_dict(), f, sort_keys=True)
-    return {"triples_dir": tri_dir, "entities_dir": ent_dir}
+    tri_dir = _write_dir(
+        result.triples,
+        os.path.join(out_dir, "triples"),
+        TRIPLES_SCHEMA.empty_table(),
+    )
+    ent_dir = _write_dir(
+        result.entities.drop_columns(["member_nodes"]),
+        os.path.join(out_dir, "entities"),
+        ENTITIES_SCHEMA.empty_table().drop_columns(["member_nodes"]),
+    )
+    stats = result.merge_stats.to_dict()
+    if result.profiles is not None:
+        from ..stages.profiles import reflection_stats
+
+        stats.update(reflection_stats(result.profiles))
+    atomic_write_json(os.path.join(out_dir, "merge_stats.json"), stats)
+    n_triples = sum(
+        pq.read_metadata(os.path.join(tri_dir, f)).num_rows
+        for f in os.listdir(tri_dir)
+    )
+    return {"triples_dir": tri_dir, "entities_dir": ent_dir, "n_triples": n_triples}
+
+
+def _write_dir(ds, path: str, empty: pa.Table) -> str:
+    """``ds`` as Parquet files under ``path``, renamed into place from
+    ``path.tmp``; ``empty`` is the file left when ``ds`` has no rows."""
+    tmp = path + ".tmp"
+    shutil.rmtree(tmp, ignore_errors=True)
+    ds.write_parquet(tmp)
+    if not os.path.isdir(tmp):
+        os.makedirs(tmp)
+        pq.write_table(empty, os.path.join(tmp, "empty.parquet"))
+    shutil.rmtree(path, ignore_errors=True)
+    os.replace(tmp, path)
+    return path

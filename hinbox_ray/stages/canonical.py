@@ -120,6 +120,26 @@ def _elect(g: pd.DataFrame) -> pd.DataFrame:
     )
 
 
+# one row per canonical entity, as ``_elect`` emits it; a graph with no
+# mentions gets an empty table of this schema
+ENTITIES_SCHEMA = pa.schema(
+    [
+        (c, pa.string())
+        for c in (
+            "entity_id", "entity_type", "name", "attr_type", "start_date",
+            "end_date", "event_type", "description", "aliases",
+        )
+    ]
+    + [
+        ("n_mentions", pa.int64()),
+        ("first_url", pa.string()),
+        ("first_ts", pa.timestamp("ns")),
+        ("profile_text", pa.string()),
+        ("member_nodes", pa.list_(pa.int64())),
+    ]
+)
+
+
 def canonical_entities(raw_entities_ds, components_ds):
     """raw entities ⟕ components → per-component election (SHUFFLE).
 
@@ -243,9 +263,9 @@ def mention_triples(mentions_ds, node_map_ds):
     name variants resolving to one entity — the dominant duplicate
     source, since one doc's mentions share a batch). The triple layout
     after it finishes distinctness per block
-    (``pipelines.kg.range_sorted_triples`` / ``sharded_sorted_triples``:
-    a subject's triples all land in one block, sorted, so equal triples
-    are adjacent) — one exchange over the triple stream instead of two.
+    (``pipelines.kg.range_sorted_triples``: a subject's triples all land
+    in one range block, sorted, so equal triples are adjacent) — one
+    exchange over the triple stream instead of two.
     """
     from .cogroup import COALESCE_ROWS
     from .resolve import add_node_id

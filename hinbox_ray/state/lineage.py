@@ -53,7 +53,7 @@ def load_manifests(out_dir: str) -> Dict[str, Dict]:
     return out
 
 
-def _atomic_write_json(path: str, obj: Dict) -> None:
+def atomic_write_json(path: str, obj: Dict) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(obj, f, sort_keys=True)
@@ -146,7 +146,7 @@ def extract_partition(
         "mentions_dir": mentions_dir,
     }
     os.makedirs(_manifest_dir(out_dir), exist_ok=True)
-    _atomic_write_json(
+    atomic_write_json(
         os.path.join(_manifest_dir(out_dir), f"{stem}.json"), record
     )
     return record
@@ -239,35 +239,24 @@ def resolve_from_checkpoint(
     out_dir: str,
     cfg: Optional[DomainConfig] = None,
     *,
-    write_triples: bool = True,
     with_profiles: bool = False,
-    sort_triples="global",
 ):
-    """Run resolution over checkpointed mentions; optionally write the
-    sorted triples Parquet (tmp+rename, so a crash never leaves a
-    half-written final output).
+    """Resolve the checkpointed mentions under ``out_dir`` and write the
+    graph there. Returns the ``KGResult`` and ``write_kg``'s dict.
 
-    Resolution is ``pipelines/kg.resolve_mentions``, the same tail
-    ``build_kg`` runs, so both entry points build the same graph from
-    the same mentions (an empty checkpoint included: zero triples and
-    zero merge stats).
+    Resolution is ``pipelines/kg.resolve_mentions`` and the write is
+    ``pipelines/kg.write_kg``, the tail and the writer ``build_kg`` runs
+    through, so both entry points write the same files from the same
+    mentions (an empty checkpoint included: one empty triples file and
+    zero merge stats), each renamed into place.
 
     ``with_profiles=True`` additionally builds the versioned profiles
-    (stages/profiles.py, A6) and folds the G3 reflection counters
-    (total/avg attempts, reference process_and_extract.py:343-362) into
-    ``merge_stats.json`` alongside the merge counters.
-
-    ``"global"`` (default) writes the same layout as ``build_kg``: one
-    range exchange on exact subject ranges cut from the entity table
-    (pipelines/kg.range_sorted_triples), one sorted+distinct file per
-    range, file-name order equal to key order. ``sort_triples="sharded"``
-    uses the hash-sharded per-shard sort
-    (pipelines/kg.sharded_sorted_triples) instead and writes the output
-    partitioned by shard (``triples/shard=N/``), so a consumer can
-    prune by shard."""
+    (stages/profiles.py, A6); ``write_kg`` then folds the G3 reflection
+    counters (total/avg attempts, reference
+    process_and_extract.py:343-362) into ``merge_stats.json``."""
     import ray.data as rd
 
-    from ..pipelines.kg import resolve_mentions
+    from ..pipelines.kg import resolve_mentions, write_kg
 
     mention_files = sorted(
         os.path.join(out_dir, "mentions", d, f)
@@ -276,44 +265,12 @@ def resolve_from_checkpoint(
         for f in os.listdir(os.path.join(out_dir, "mentions", d))
         if f.endswith(".parquet")
     )
-    sharded = sort_triples == "sharded"
-    result = resolve_mentions(rd.read_parquet(mention_files), cfg, sharded=sharded)
-
-    stats_doc = result.merge_stats.to_dict()
+    result = resolve_mentions(rd.read_parquet(mention_files), cfg)
     # an empty checkpoint has no canonical entities to profile
     if with_profiles and result.entities.count():
-        from ..stages.profiles import entity_profiles, reflection_stats
+        from ..stages.profiles import entity_profiles
 
         result.profiles = entity_profiles(
             result.entities, result.mentions
         ).materialize()
-        stats_doc.update(reflection_stats(result.profiles))
-    _atomic_write_json(os.path.join(out_dir, "merge_stats.json"), stats_doc)
-
-    if write_triples:
-        final = os.path.join(out_dir, "triples")
-        tmp = final + ".tmp"
-        if os.path.isdir(tmp):
-            shutil.rmtree(tmp)
-        if sharded:
-            # one directory per shard (hive layout): independently
-            # replaceable / skippable units for a multi-node resume
-            result.triples.write_parquet(tmp, partition_cols=["shard"])
-        else:
-            result.triples.write_parquet(tmp)
-        if not os.path.isdir(tmp):
-            # Ray writes no directory for zero rows; keep the output
-            # readable with one empty file of the triple schema
-            import pyarrow.parquet as pq
-
-            from ..stages.canonical import TRIPLES_SCHEMA
-
-            os.makedirs(tmp)
-            pq.write_table(
-                TRIPLES_SCHEMA.empty_table(), os.path.join(tmp, "empty.parquet")
-            )
-        if os.path.isdir(final):
-            shutil.rmtree(final)
-        os.replace(tmp, final)
-        result.triples = rd.read_parquet(final)
-    return result
+    return result, write_kg(result, out_dir)

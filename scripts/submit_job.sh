@@ -7,14 +7,12 @@
 #
 # The driver joins the cluster it was submitted to (the CLI calls
 # ray.init() with no address). --resume makes re-submission after a
-# failure skip finished input shards via the lineage manifests;
-# --sharded-triples writes the hash-sharded per-shard-sorted layout so
-# no stage waits on a cluster-wide sort barrier and the output is
-# prunable per shard. In this sandbox the same command runs single-node
-# with RAY_ADDRESS=local.
+# failure skip finished input shards via the lineage manifests; the
+# triples are written in the range layout (one sorted file per subject
+# range). The same command runs single-node with RAY_ADDRESS=local.
 set -euo pipefail
 PAGES="${1:?usage: submit_job.sh <pages-parquet-dir> <out-dir>}"
 OUT="${2:?usage: submit_job.sh <pages-parquet-dir> <out-dir>}"
 exec ray job submit --working-dir "$(dirname "$0")/.." -- \
     python -m hinbox_ray --pages "$PAGES" --out "$OUT" \
-    --resume --sharded-triples
+    --resume

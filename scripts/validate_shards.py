@@ -1,25 +1,23 @@
 #!/usr/bin/env python
-"""Audit a sharded sorted-triples output (``triples/shard=N/`` hive
-layout written by ``resolve_from_checkpoint(sort_triples="sharded")`` or
-``python -m hinbox_ray --sharded-triples``).
+"""Audit a written ``triples/`` directory (``pipelines.kg.write_kg``,
+from ``build_kg``, ``resolve_from_checkpoint`` or
+``python -m hinbox_ray``): the range layout an operator checks after a
+resumed run before trusting the output.
 
-Checks, per shard (round-3 VERDICT #8 — the audit a multi-node operator
-runs after a resumed run before trusting the output):
+    python scripts/validate_shards.py <out>/triples
 
-1. **sorted**: rows are non-decreasing by (subj, pred, obj);
-2. **distinct**: no adjacent duplicate triple (sorted ⇒ global within
-   the shard);
-3. **assignment**: every subj hashes to exactly this shard
-   (``hash_pandas_object(subj) % num_shards == N`` — the same function
-   ``sharded_sorted_triples`` partitions with). Deterministic assignment
-   implies CROSS-SHARD DISJOINTNESS: no subject can appear in two
-   shards, so the shards are independently consumable range files and a
-   resume that re-wrote a subset of shards cannot have duplicated or
-   split a subject across shards.
+Checks, over the ``*.parquet`` files in file-name order:
 
-Prints one JSON line and exits non-zero on any violation. Pure
-pyarrow/pandas — shards are vocabulary-scale, so a driver-side loop is
-the right tool; no Ray session required.
+1. **sorted and distinct**: rows strictly increase by (subj, pred, obj)
+   within each file;
+2. **subject ranges**: each file's first subject is greater than the
+   previous file's last subject, so rows strictly increase across files
+   and no subject is in two files: every file is an independently
+   consumable range;
+3. **no empty file**, unless the graph is empty (then one empty file).
+
+Prints one JSON line and exits non-zero on any violation. Pure pyarrow,
+no Ray session required.
 """
 
 from __future__ import annotations
@@ -30,79 +28,42 @@ import os
 import sys
 from typing import List
 
-import numpy as np
-import pandas as pd
 import pyarrow.parquet as pq
 
 
-def validate_shard_dir(triples_dir: str, num_shards: int = 64) -> dict:
-    """Validate every ``shard=N`` partition under ``triples_dir``.
-
-    Returns ``{"ok": bool, "shards": int, "rows": int, "errors": [...]}``
-    (importable — the test drives this function directly)."""
+def validate_triples_dir(triples_dir: str) -> dict:
+    """Audit every file under ``triples_dir``. Returns ``{"ok": bool,
+    "files": int, "rows": int, "errors": [...]}``."""
     errors: List[str] = []
-    shard_dirs = sorted(
-        d for d in os.listdir(triples_dir) if d.startswith("shard=")
-    )
-    if not shard_dirs:
-        return {
-            "ok": False,
-            "shards": 0,
-            "rows": 0,
-            "errors": [f"no shard= partitions under {triples_dir}"],
-        }
-    total_rows = 0
-    for d in shard_dirs:
-        shard_no = int(d.split("=", 1)[1])
-        files = sorted(
-            os.path.join(triples_dir, d, f)
-            for f in os.listdir(os.path.join(triples_dir, d))
-            if f.endswith(".parquet")
-        )
-        if not files:
-            errors.append(f"{d}: empty partition directory")
+    files = sorted(f for f in os.listdir(triples_dir) if f.endswith(".parquet"))
+    if not files:
+        errors.append(f"no parquet files under {triples_dir}")
+    rows = 0
+    last = None  # (file, last row) of the previous non-empty file
+    for f in files:
+        t = pq.read_table(os.path.join(triples_dir, f), columns=["subj", "pred", "obj"])
+        key = list(zip(*(t.column(c).to_pylist() for c in ("subj", "pred", "obj"))))
+        rows += len(key)
+        if not key:
+            if len(files) > 1:
+                errors.append(f"{f}: empty file beside other range files")
             continue
-        df = pd.concat(
-            [pq.read_table(f).to_pandas() for f in files], ignore_index=True
-        )
-        total_rows += len(df)
-        if df.empty:
-            continue
-        key = list(zip(df["subj"], df["pred"], df["obj"]))
-        if any(key[i] > key[i + 1] for i in range(len(key) - 1)):
-            errors.append(f"{d}: rows not sorted by (subj, pred, obj)")
-        if any(key[i] == key[i + 1] for i in range(len(key) - 1)):
-            errors.append(f"{d}: duplicate adjacent triple")
-        assigned = (
-            pd.util.hash_pandas_object(df["subj"], index=False).to_numpy()
-            % num_shards
-        ).astype(np.int64)
-        if not (assigned == shard_no).all():
-            bad = df["subj"][assigned != shard_no].iloc[0]
+        bad = next((i for i in range(1, len(key)) if not key[i - 1] < key[i]), None)
+        if bad is not None:
+            errors.append(f"{f}: rows not sorted and distinct at row {bad}")
+        if last is not None and not last[1][0] < key[0][0]:
             errors.append(
-                f"{d}: subj {bad!r} hashes to shard "
-                f"{int(assigned[(assigned != shard_no).argmax()])}, "
-                f"violating hash-range disjointness"
+                f"{f}: starts at subject {key[0][0]!r}, not after "
+                f"{last[0]}'s last subject {last[1][0]!r}"
             )
-    return {
-        "ok": not errors,
-        "shards": len(shard_dirs),
-        "rows": total_rows,
-        "errors": errors,
-    }
+        last = (f, key[-1])
+    return {"ok": not errors, "files": len(files), "rows": rows, "errors": errors}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("triples_dir", help="path to the triples/ hive dir")
-    ap.add_argument(
-        "--num-shards",
-        type=int,
-        default=64,
-        help="shard count the writer used (sharded_sorted_triples default)",
-    )
-    args = ap.parse_args()
-    report = validate_shard_dir(args.triples_dir, args.num_shards)
+    ap.add_argument("triples_dir", help="path to a written triples/ dir")
+    report = validate_triples_dir(ap.parse_args().triples_dir)
     print(json.dumps(report, sort_keys=True))
     return 0 if report["ok"] else 1
 

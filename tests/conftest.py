@@ -21,3 +21,16 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture(scope="session")
+def audit_triples():
+    """The range-layout audit of a written ``triples/`` directory,
+    ``scripts/validate_shards.validate_triples_dir``."""
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
+    from validate_shards import validate_triples_dir
+
+    return validate_triples_dir

@@ -12,8 +12,14 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("sharded", [False, True])
-def test_cli_end_to_end(tmp_path, sharded):
+@pytest.mark.parametrize("resume", [False, True])
+def test_cli_end_to_end(tmp_path, resume):
+    """Both branches write through ``write_kg`` and print the triple
+    count read from the written files."""
+    import re
+
+    import pyarrow.parquet as pq
+
     pages = str(tmp_path / "pages")
     out = str(tmp_path / "out")
     gen = subprocess.run(
@@ -41,27 +47,23 @@ def test_cli_end_to_end(tmp_path, sharded):
         pages,
         "--out",
         out,
-        "--resume",
         "--num-cpus",
         "4",
     ]
-    if sharded:
-        cmd.append("--sharded-triples")
+    if resume:
+        cmd.append("--resume")
     run = subprocess.run(
         cmd, cwd=REPO, capture_output=True, text=True, timeout=480
     )
     assert run.returncode == 0, run.stderr[-2000:]
-    assert "wrote" in run.stderr
-
     tdir = os.path.join(out, "triples")
-    names = sorted(os.listdir(tdir))
-    if sharded:
-        assert names and all(n.startswith("shard=") for n in names)
-    else:
-        assert any(n.endswith(".parquet") for n in names)
-    # lineage manifests exist → a re-run would resume
-    assert os.path.isdir(os.path.join(out, "_lineage"))
+    wrote = re.search(r"wrote (\d+) triples to (\S+)", run.stderr)
+    assert wrote and wrote.group(2) == tdir, run.stderr[-2000:]
+    assert int(wrote.group(1)) == pq.read_table(tdir).num_rows > 0
+    assert pq.read_table(os.path.join(out, "entities")).num_rows > 0
     assert os.path.exists(os.path.join(out, "merge_stats.json"))
+    # lineage manifests exist → a re-run would resume
+    assert os.path.isdir(os.path.join(out, "_lineage")) == resume
 
 
 def test_domain_scaffolding(tmp_path):
@@ -97,15 +99,3 @@ def test_domain_scaffolding(tmp_path):
         == "fromtemplate"
     )
     assert list_domains(cdir) == ["copyme", "mydomain"]
-
-
-def test_sharded_triples_requires_resume(tmp_path):
-    """Only the resume path writes the sharded layout, so the flag alone
-    is refused as a usage error before any Ray session starts."""
-    from hinbox_ray.__main__ import main
-
-    argv = ["--pages", str(tmp_path / "pages"), "--out", str(tmp_path / "out")]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--sharded-triples"])
-    assert exc.value.code == 2
-    assert not (tmp_path / "out").exists()

@@ -1,5 +1,7 @@
 """End-to-end KG pipeline tests: resolution fidelity + the P/R gate."""
 
+import os
+
 import pyarrow as pa
 import pytest
 
@@ -109,13 +111,82 @@ def test_write_kg_partitioned_roundtrip(ray_session, tmp_path):
     from hinbox_ray.pipelines.kg import build_kg, write_kg
     from hinbox_ray.sources.pages import generate_pages_table
 
+    from hinbox_ray.stages.canonical import ENTITIES_SCHEMA, TRIPLES_SCHEMA
+
     res = build_kg(rd.from_arrow(generate_pages_table(60)))
     out = write_kg(res, str(tmp_path))
     tri = pq.read_table(out["triples_dir"])
-    assert set(tri.column_names) == {"subj", "pred", "obj"}
-    assert tri.num_rows == res.triples.count()
+    assert tri.schema.remove_metadata() == TRIPLES_SCHEMA
+    assert tri.num_rows == out["n_triples"] == res.triples.count()
     ents = pq.read_table(out["entities_dir"])
-    assert "entity_id" in ents.column_names
+    assert ents.schema.remove_metadata() == ENTITIES_SCHEMA.remove(
+        ENTITIES_SCHEMA.get_field_index("member_nodes")
+    )
+    assert ents.num_rows == res.entities.count()
+    assert sorted(os.listdir(tmp_path)) == ["entities", "merge_stats.json", "triples"]
+
+
+def _pages(html: bytes, n: int = 1) -> pa.Table:
+    return pa.table(
+        {
+            "url": pa.array([f"https://one.example/{i:05d}" for i in range(n)]),
+            "warc_ts": pa.array(
+                [1_600_000_000_000_000 + i for i in range(n)],
+                type=pa.timestamp("us"),
+            ),
+            "html": pa.array([html] * n, type=pa.binary()),
+            "text": pa.array([""] * n),
+            "lang": pa.array(["en"] * n),
+        }
+    )
+
+
+def test_one_subject_graph(ray_session, tmp_path, audit_triples):
+    """A graph with one subject leaves the range sort's second output
+    range empty; every triple block still has the triple schema, so the
+    blocks concatenate, and write_kg writes one sorted, distinct file."""
+    import ray
+    import ray.data as rd
+
+    from hinbox_ray.pipelines.kg import build_kg, write_kg
+    from hinbox_ray.stages.canonical import TRIPLES_SCHEMA
+
+    html = b"<html><body><article><p>The FBI said nothing.</p></article></body></html>"
+    res = build_kg(rd.from_arrow(_pages(html, 3)), concurrency=1)
+    assert res.entities.count() == 1
+    blocks = ray.get(res.triples.to_arrow_refs())
+    assert all(b.schema == TRIPLES_SCHEMA for b in blocks)
+    rows = pa.concat_tables(blocks).to_pylist()
+    assert len({r["subj"] for r in rows}) == 1
+    out = write_kg(res, str(tmp_path))
+    rep = audit_triples(out["triples_dir"])
+    assert rep["ok"], rep["errors"]
+    assert rep["files"] == 1 and rep["rows"] == out["n_triples"] == len(rows)
+
+
+def test_write_kg_zero_mentions(ray_session, tmp_path):
+    """Pages with no entity names: build_kg → write_kg leaves triples
+    and entities directories that read back as zero typed rows."""
+    import json
+
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from hinbox_ray.pipelines.kg import build_kg, write_kg
+    from hinbox_ray.stages.canonical import ENTITIES_SCHEMA, TRIPLES_SCHEMA
+
+    html = b"<html><body><article><p>nothing to see here.</p></article></body></html>"
+    out = write_kg(build_kg(rd.from_arrow(_pages(html, 4))), str(tmp_path))
+    tri = pq.read_table(out["triples_dir"])
+    assert tri.num_rows == out["n_triples"] == 0
+    assert tri.schema.remove_metadata() == TRIPLES_SCHEMA
+    ents = pq.read_table(out["entities_dir"])
+    assert ents.num_rows == 0
+    assert ents.schema.remove_metadata() == ENTITIES_SCHEMA.remove(
+        ENTITIES_SCHEMA.get_field_index("member_nodes")
+    )
+    with open(tmp_path / "merge_stats.json") as f:
+        assert json.load(f)["total"] == 0
 
 
 def test_sorted_triples_are_globally_distinct(ray_session, monkeypatch):
@@ -271,11 +342,11 @@ def test_build_kg_finishes_at_two_cpus(ray_session, tmp_path):
     assert two == four
 
 
-def _write_planted_triples(out_dir, n_blocks=None):
-    """Write the sf0.001 planted KG; return its triple files' bytes in
-    file-name order, each file's rows, and the files' row counts."""
+def _write_planted_triples(out_dir, audit, n_blocks=None):
+    """Write the sf0.001 planted KG and check it with the range-layout
+    audit; return its triple files' bytes in file-name order and all
+    their rows in that order."""
     import glob
-    import os
 
     import pyarrow.parquet as pq
 
@@ -288,29 +359,37 @@ def _write_planted_triples(out_dir, n_blocks=None):
         pages = pages.repartition(n_blocks)
     tri_dir = write_kg(build_kg(pages), str(out_dir))["triples_dir"]
     files = sorted(glob.glob(os.path.join(tri_dir, "*.parquet")))
+    rep = audit(tri_dir)
+    assert rep["ok"], rep["errors"]
     blobs = [open(f, "rb").read() for f in files]
     rows = [
-        list(zip(*(t.column(c).to_pylist() for c in ("subj", "pred", "obj"))))
+        r
         for t in (pq.read_table(f) for f in files)
+        for r in zip(*(t.column(c).to_pylist() for c in ("subj", "pred", "obj")))
     ]
     return blobs, rows
 
 
-def test_triple_files_identical_across_block_counts(ray_session, tmp_path):
+def test_triple_files_identical_across_block_counts(
+    ray_session, tmp_path, audit_triples
+):
     """The written triple files are a function of the triple set:
     byte-identical in file-name order whatever the input block count."""
-    default, _ = _write_planted_triples(tmp_path / "default")
-    split, _ = _write_planted_triples(tmp_path / "split", n_blocks=7)
+    default, _ = _write_planted_triples(tmp_path / "default", audit_triples)
+    split, _ = _write_planted_triples(
+        tmp_path / "split", audit_triples, n_blocks=7
+    )
     assert default == split
 
 
 def test_many_subject_ranges_exact_and_identical(
-    ray_session, tmp_path, monkeypatch
+    ray_session, tmp_path, monkeypatch, audit_triples
 ):
     """With a range target small enough for several ranges: files stay
-    byte-identical across input block counts, rows increase strictly
-    across files in file-name order, no subject is in two files, no
-    file is empty, and the rows equal the DuckDB triples oracle."""
+    byte-identical across input block counts, pass the range-layout
+    audit (rows increase strictly across files in file-name order, no
+    subject is in two files, no file is empty), and the rows equal the
+    DuckDB triples oracle."""
     import duckdb
     import pyarrow.parquet as pq
 
@@ -319,15 +398,12 @@ def test_many_subject_ranges_exact_and_identical(
     from hinbox_ray.sources.planted import triples_oracle_sql
 
     monkeypatch.setattr(kg, "COALESCE_ROWS", 300)
-    default, per_file = _write_planted_triples(tmp_path / "default")
-    split, _ = _write_planted_triples(tmp_path / "split", n_blocks=7)
+    default, rows = _write_planted_triples(tmp_path / "default", audit_triples)
+    split, _ = _write_planted_triples(
+        tmp_path / "split", audit_triples, n_blocks=7
+    )
     assert len(default) >= 3
     assert default == split
-    assert all(per_file)
-    rows = [r for f in per_file for r in f]
-    assert all(a < b for a, b in zip(rows, rows[1:]))
-    subjects = [{r[0] for r in f} for f in per_file]
-    assert sum(map(len, subjects)) == len(set().union(*subjects))
     con = duckdb.connect()
     con.register(
         "documents",

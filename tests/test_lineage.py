@@ -19,21 +19,24 @@ def corpus(tmp_path_factory):
     return str(d)
 
 
-def _triples(out_dir):
+def _triple_files(out_dir):
+    """Rows of each ``triples/`` file under ``out_dir``, in file-name
+    order."""
     import pyarrow.parquet as pq
 
     tdir = os.path.join(out_dir, "triples")
-    files = [os.path.join(tdir, f) for f in os.listdir(tdir) if f.endswith(".parquet")]
-    import pyarrow as pa
-
-    t = pa.concat_tables([pq.read_table(f) for f in files])
-    return sorted(
-        zip(
-            t.column("subj").to_pylist(),
-            t.column("pred").to_pylist(),
-            t.column("obj").to_pylist(),
+    return [
+        list(zip(*(t.column(c).to_pylist() for c in ("subj", "pred", "obj"))))
+        for t in (
+            pq.read_table(os.path.join(tdir, f))
+            for f in sorted(os.listdir(tdir))
+            if f.endswith(".parquet")
         )
-    )
+    ]
+
+
+def _triples(out_dir):
+    return sorted(r for f in _triple_files(out_dir) for r in f)
 
 
 def test_full_run_writes_manifests_and_triples(ray_session, corpus, tmp_path):
@@ -50,9 +53,8 @@ def test_full_run_writes_manifests_and_triples(ray_session, corpus, tmp_path):
         assert rec["n_docs"] > 0
         assert os.path.isdir(rec["mentions_dir"])
         assert rec["url_min"].startswith("https://")
-    res = resolve_from_checkpoint(out, with_profiles=True)
-    assert res.triples.count() > 0
-    assert os.path.isdir(os.path.join(out, "triples"))
+    res, written = resolve_from_checkpoint(out, with_profiles=True)
+    assert written["n_triples"] == len(_triples(out)) > 0
     # manifests reload identically
     assert load_manifests(out).keys() == manifests.keys()
     # G1–G3 counters: merge stats + reflection summary in one doc
@@ -161,109 +163,59 @@ def test_parallel_shard_resume_overlaps_and_matches(ray_session, tmp_path):
             assert par[k][field] == ser[k][field], (k, field)
 
 
-def test_resolve_from_checkpoint_sharded_layout(ray_session, corpus, tmp_path):
-    """Multi-node resume path (round-2 VERDICT #9): sort_triples='sharded'
-    writes triples/shard=N/ partitions, each internally sorted and
-    distinct, whose union equals the global-sort run exactly — and no
-    stage paid the cluster-wide sort barrier."""
-    import pyarrow.parquet as pq
-
+def test_resume_writes_same_files_as_build_kg(ray_session, corpus, tmp_path):
+    """Both entry points resolve through ``resolve_mentions`` and write
+    through ``write_kg``: the resume path and ``build_kg`` on the same
+    pages write the same number of triple files with the same rows, in
+    file-name order."""
+    from hinbox_ray.pipelines.kg import build_kg, write_kg
+    from hinbox_ray.sources.reader import read_parquet_clean
     from hinbox_ray.state.lineage import (
         resolve_from_checkpoint,
         run_extract_with_resume,
     )
 
-    out_g = str(tmp_path / "global")
-    out_s = str(tmp_path / "sharded")
-    for out in (out_g, out_s):
-        run_extract_with_resume(corpus, out, concurrency=2, batch_size=64)
-    resolve_from_checkpoint(out_g)
-    resolve_from_checkpoint(out_s, sort_triples="sharded")
+    resumed = str(tmp_path / "resumed")
+    run_extract_with_resume(corpus, resumed, concurrency=2, batch_size=64)
+    resolve_from_checkpoint(resumed)
+    built = str(tmp_path / "built")
+    write_kg(build_kg(read_parquet_clean(corpus), concurrency=2), built)
 
-    tdir = os.path.join(out_s, "triples")
-    shard_dirs = sorted(d for d in os.listdir(tdir) if d.startswith("shard="))
-    assert len(shard_dirs) > 1
-    seen = []
-    for d in shard_dirs:
-        for f in sorted(os.listdir(os.path.join(tdir, d))):
-            t = pq.read_table(os.path.join(tdir, d, f))
-            rows = list(
-                zip(
-                    t.column("subj").to_pylist(),
-                    t.column("pred").to_pylist(),
-                    t.column("obj").to_pylist(),
-                )
-            )
-            assert rows == sorted(set(rows))  # per-shard sorted + distinct
-            seen.extend(rows)
-    assert sorted(seen) == _triples(out_g)  # same graph, no global barrier
+    files = _triple_files(resumed)
+    assert len(files) > 1
+    assert files == _triple_files(built)
 
 
-def test_sharded_sorted_triples_matches_global_sort(ray_session, tmp_path):
-    import pandas as pd
-    import ray.data as rd
-
-    from hinbox_ray.pipelines.kg import build_kg, sharded_sorted_triples
-    from hinbox_ray.sources.pages import generate_pages_table
-
-    res = build_kg(
-        rd.from_arrow(generate_pages_table(150)), concurrency=2,
-    )
-    sharded = sharded_sorted_triples(res.triples, num_shards=8).to_pandas()
-    global_sorted = (
-        res.triples.to_pandas()
-        .sort_values(["subj", "pred", "obj"])
-        .reset_index(drop=True)
-    )
-    # same multiset of triples
-    a = sharded[["subj", "pred", "obj"]].sort_values(
-        ["subj", "pred", "obj"]
-    ).reset_index(drop=True)
-    assert a.equals(global_sorted)
-    # each shard internally sorted; a subject never spans two shards
-    for _, g in sharded.groupby("shard"):
-        assert g[["subj", "pred", "obj"]].reset_index(drop=True).equals(
-            g.sort_values(["subj", "pred", "obj"])[["subj", "pred", "obj"]]
-            .reset_index(drop=True)
-        )
-    assert (sharded.groupby("subj")["shard"].nunique() == 1).all()
-
-
-def test_validate_shards_on_resumed_sharded_run(ray_session, corpus, tmp_path):
-    """r3 VERDICT #8: the shard audit passes on a genuine resumed sharded
-    run and catches sort / duplicate / misassignment corruption."""
-    import sys
-
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
+def test_validate_shards_on_resumed_run(
+    ray_session, corpus, tmp_path, audit_triples
+):
+    """r3 VERDICT #8: the range-layout audit passes on a genuine resumed
+    run and catches a subject written into two files."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-    from validate_shards import validate_shard_dir
 
     from hinbox_ray.state.lineage import (
         resolve_from_checkpoint,
         run_extract_with_resume,
     )
 
-    out = str(tmp_path / "sharded_run")
+    out = str(tmp_path / "resumed_run")
     # run, then resume (no-op second pass — the audit's target scenario)
     run_extract_with_resume(corpus, out, concurrency=2, batch_size=64)
     again = run_extract_with_resume(corpus, out, concurrency=2, batch_size=64)
     assert len(again) == SHARDS
-    resolve_from_checkpoint(out, sort_triples="sharded")
+    _, written = resolve_from_checkpoint(out)
 
-    tdir = os.path.join(out, "triples")
-    rep = validate_shard_dir(tdir)
+    tdir = written["triples_dir"]
+    rep = audit_triples(tdir)
     assert rep["ok"], rep["errors"]
-    assert rep["rows"] > 0 and rep["shards"] > 1
+    assert rep["rows"] == written["n_triples"] > 0 and rep["files"] > 1
 
-    # corrupt one shard: append a row whose subj belongs elsewhere
-    some = sorted(d for d in os.listdir(tdir) if d.startswith("shard="))[0]
-    f = [
-        os.path.join(tdir, some, x)
-        for x in os.listdir(os.path.join(tdir, some))
-        if x.endswith(".parquet")
-    ][0]
-    t = pq.read_table(f)
+    # corrupt the first file: append a row whose subject belongs to a
+    # later file, keeping the file itself sorted and distinct
+    files = sorted(f for f in os.listdir(tdir) if f.endswith(".parquet"))
+    first = os.path.join(tdir, files[0])
+    t = pq.read_table(first).select(["subj", "pred", "obj"])
     bad = pa.table(
         {
             "subj": pa.array(["zzz-foreign-subject"], type=pa.string()),
@@ -271,19 +223,16 @@ def test_validate_shards_on_resumed_sharded_run(ray_session, corpus, tmp_path):
             "obj": pa.array(["x"], type=pa.string()),
         }
     )
-    pq.write_table(pa.concat_tables([t.select(["subj", "pred", "obj"]), bad]), f)
-    rep2 = validate_shard_dir(tdir)
+    pq.write_table(pa.concat_tables([t, bad]), first)
+    rep2 = audit_triples(tdir)
     assert not rep2["ok"]
-    assert any(
-        "disjointness" in e or "not sorted" in e for e in rep2["errors"]
-    ), rep2["errors"]
+    assert any("not after" in e for e in rep2["errors"]), rep2["errors"]
 
 
-@pytest.mark.parametrize("sort_triples", ["global", "sharded"])
-def test_resolve_zero_mention_checkpoint(ray_session, tmp_path, sort_triples):
+def test_resolve_zero_mention_checkpoint(ray_session, tmp_path):
     """A checkpoint holding only an empty mentions file resolves to zero
-    triples and zero merge stats, in either layout, and leaves a
-    readable triples directory."""
+    triples and zero merge stats, and leaves readable triples and
+    entities directories."""
     import pyarrow.parquet as pq
 
     from hinbox_ray.stages.mentions import MENTIONS_SCHEMA
@@ -294,11 +243,11 @@ def test_resolve_zero_mention_checkpoint(ray_session, tmp_path, sort_triples):
     os.makedirs(part)
     pq.write_table(MENTIONS_SCHEMA.empty_table(), os.path.join(part, "m.parquet"))
 
-    res = resolve_from_checkpoint(
-        out, with_profiles=True, sort_triples=sort_triples
-    )
-    assert res.triples.count() == 0
+    res, written = resolve_from_checkpoint(out, with_profiles=True)
+    assert res.triples.count() == 0 and written["n_triples"] == 0
     assert _triples(out) == []
+    ents = pq.read_table(written["entities_dir"])
+    assert ents.num_rows == 0 and "entity_id" in ents.column_names
     with open(os.path.join(out, "merge_stats.json")) as f:
         stats = json.load(f)
     assert stats["total"] == 0 and stats["new"] == 0

@@ -66,6 +66,12 @@ def test_one_resolution_tail():
     stages (definitions excepted)."""
     stages = (
         r"(?<!def )\b(canonical_entities|candidate_edges_with_verdicts"
-        r"|range_sorted_triples|sharded_sorted_triples)\("
+        r"|range_sorted_triples)\("
     )
     assert _hits(stages, exempt=["hinbox_ray/pipelines/kg.py"]) == []
+
+
+def test_one_graph_writer():
+    """``pipelines.kg.write_kg`` is the only writer of a graph's
+    ``triples/``: no other module names that path."""
+    assert _hits(r"[\"']triples[\"']", exempt=["hinbox_ray/pipelines/kg.py"]) == []
