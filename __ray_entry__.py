@@ -620,7 +620,7 @@ def _kg_pair_verdicts_planted(sf_dir: str) -> Any:
     """The verdict SURFACE over the planted vocabulary: every
     within-type node pair (not just blocking's proposals — blocking
     recall is already value-checked via kg_triples_planted) through the
-    real PairVerifier actor pool, with corpus-derived alias metadata.
+    real PairVerifier stage, with corpus-derived alias metadata.
     The oracle joins the fixture verdict table against node presence
     derived from the plant plan (sources/planted.py:verdict_fixture)."""
     import pandas as pd

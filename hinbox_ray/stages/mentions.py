@@ -321,14 +321,16 @@ def extract_mentions(
         import ray
 
         # a FIXED pool: autoscaling ramps from min and on a short phase
-        # never reaches cluster width, flattening CPU scaling; the
-        # extractor's __init__ is cheap so spawning all actors up front
-        # costs little. Leave 2 CPUs for the (column-pruned) read, or 1
-        # on a 2-CPU cluster: a pool equal to cluster width starves the
-        # read and the pipeline STALLS outright (measured: conc=32/32
-        # never finished where conc=30 took 45 s at 5M pages, and a
-        # 2-actor pool on 2 CPUs never finished; 24 → 30 actors =
-        # 52 → 45 s).
+        # never reaches cluster width, flattening CPU scaling. Each
+        # actor is a fresh worker process that imports ray and ray.data
+        # (0.74-0.98 s measured on a 1-core VM) before its lexicon is
+        # built; a fixed pool pays that once per actor, at its start,
+        # which is why stateless stages run as tasks. Leave 2 CPUs for the
+        # (column-pruned) read, or 1 on a 2-CPU cluster: a pool equal
+        # to cluster width starves the read and the pipeline STALLS
+        # outright (measured: conc=32/32 never finished where conc=30
+        # took 45 s at 5M pages, and a 2-actor pool on 2 CPUs never
+        # finished; 24 → 30 actors = 52 → 45 s).
         n = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
         concurrency = max(1, n - 2)
     return docs_ds.map_batches(

@@ -187,28 +187,25 @@ def _combine_batch(df: pd.DataFrame) -> pd.DataFrame:
     return out.reset_index(drop=True)
 
 
-def _empty_raw_entities() -> pd.DataFrame:
-    """Typed zero-row raw-entities frame (the ``_regroup`` output schema
-    + node_id) — the shape every reduce path must emit on an empty
-    corpus so downstream schema unification sees one consistent type."""
-    out = pd.DataFrame(
-        {
-            "entity_type": pd.Series([], dtype=object),
-            "name": pd.Series([], dtype=object),
-            "attr_type": pd.Series([], dtype=object),
-            "start_date": pd.Series([], dtype=object),
-            "end_date": pd.Series([], dtype=object),
-            "event_type": pd.Series([], dtype=object),
-            "description": pd.Series([], dtype=object),
-            "aliases": pd.Series([], dtype=object),
-            "n_mentions": pd.Series([], dtype=np.int64),
-            "first_url": pd.Series([], dtype=object),
-            "first_ord": pd.Series([], dtype=np.int64),
-            "first_ts": pd.Series([], dtype="datetime64[us]"),
-            "evidence": pd.Series([], dtype=object),
-        }
-    )
-    return add_node_id(out)
+# the ``_regroup`` output schema + node_id
+RAW_ENTITIES_SCHEMA = pa.schema(
+    [
+        ("entity_type", pa.string()),
+        ("name", pa.string()),
+        ("attr_type", pa.string()),
+        ("start_date", pa.string()),
+        ("end_date", pa.string()),
+        ("event_type", pa.string()),
+        ("description", pa.string()),
+        ("aliases", pa.string()),
+        ("n_mentions", pa.int64()),
+        ("first_url", pa.string()),
+        ("first_ord", pa.int64()),
+        ("first_ts", pa.timestamp("us")),
+        ("evidence", pa.string()),
+        ("node_id", pa.int64()),
+    ]
+)
 
 
 def _regroup(df: pd.DataFrame) -> pd.DataFrame:
@@ -269,12 +266,12 @@ def raw_entities(mentions_ds):
         _combine_batch, batch_format="pandas", batch_size=COALESCE_ROWS
     ).materialize()
     if combined.count() == 0:
-        # ADVICE r3: zero-mention corpus — Ray may never invoke the
-        # reduce UDF on an all-empty dataset, so emit the typed empty
-        # schema directly rather than relying on the kernel's guard.
+        # zero-mention corpus — Ray may never invoke the reduce UDF on
+        # an all-empty dataset, so emit the typed empty schema directly
+        # (Arrow: Ray cannot size a zero-row pandas object column)
         import ray.data as rd
 
-        return rd.from_pandas(_empty_raw_entities())
+        return rd.from_arrow(RAW_ENTITIES_SCHEMA.empty_table())
     return bucketed_map_groups(combined, _KEY_COLS, _regroup)
 
 
@@ -341,27 +338,22 @@ def _explode_blocking(df: pd.DataFrame, cfg: DomainConfig) -> pd.DataFrame:
     )
 
 
-PAIR_META_COLS = [
-    "u",
-    "v",
-    "entity_type",
-    "name_u",
-    "name_v",
-    "start_date_u",
-    "start_date_v",
-    "aliases_u",
-    "aliases_v",
-]
+PAIR_META_SCHEMA = pa.schema(
+    [
+        ("u", pa.int64()),
+        ("v", pa.int64()),
+        ("entity_type", pa.string()),
+        ("name_u", pa.string()),
+        ("name_v", pa.string()),
+        ("start_date_u", pa.string()),
+        ("start_date_v", pa.string()),
+        ("aliases_u", pa.string()),
+        ("aliases_v", pa.string()),
+    ]
+)
 
 
-def _pair_meta_empty() -> pd.DataFrame:
-    out = {"u": pd.Series(dtype=np.int64), "v": pd.Series(dtype=np.int64)}
-    for c in PAIR_META_COLS[2:]:
-        out[c] = pd.Series(dtype=object)
-    return pd.DataFrame(out)
-
-
-def _block_pair_rows(df: pd.DataFrame, cfg: DomainConfig) -> pd.DataFrame:
+def _block_pair_rows(df: pd.DataFrame, cfg: DomainConfig) -> Optional[pd.DataFrame]:
     """One block → its candidate PAIR rows with the name metadata the
     verifier consumes. Skew guard unchanged from round 1: a block larger
     than ``rep_cap`` compares all-pairs only among the top ``rep_cap``
@@ -371,7 +363,7 @@ def _block_pair_rows(df: pd.DataFrame, cfg: DomainConfig) -> pd.DataFrame:
     are oriented by node id (u < v)."""
     df = df.drop_duplicates("node_id")
     if len(df) < 2:
-        return _pair_meta_empty()
+        return None
 
     rep_cap = max(2, cfg.blocking.max_candidates)
     tail_link = 8
@@ -380,7 +372,7 @@ def _block_pair_rows(df: pd.DataFrame, cfg: DomainConfig) -> pd.DataFrame:
     reps = rows[:rep_cap]
     tail = rows[rep_cap:]
 
-    out: Dict[str, List] = {c: [] for c in PAIR_META_COLS}
+    out: Dict[str, List] = {c: [] for c in PAIR_META_SCHEMA.names}
 
     def emit(a, b):
         if a.node_id > b.node_id:
@@ -403,25 +395,28 @@ def _block_pair_rows(df: pd.DataFrame, cfg: DomainConfig) -> pd.DataFrame:
             emit(t, r)
 
     if not out["u"]:
-        return _pair_meta_empty()
+        return None
     res = pd.DataFrame(out)
     res["u"] = res["u"].astype(np.int64)
     res["v"] = res["v"].astype(np.int64)
     return res
 
 
-def _shuffle_block_pair_rows(df: pd.DataFrame, cfg: DomainConfig) -> pd.DataFrame:
+def _shuffle_block_pair_rows(
+    df: pd.DataFrame, cfg: DomainConfig
+) -> "pd.DataFrame | pa.Table":
     """Pair rows of every blocking key in one shuffle block. Most keys
     hold one node and emit nothing (295 of 336 on the kgbench
     kg_planted corpus), so they are dropped in one vectorized pass
-    before the per-key ``_block_pair_rows`` loop."""
+    before the per-key ``_block_pair_rows`` loop. A block without pairs
+    is a typed Arrow empty: Ray cannot size a zero-row pandas object
+    column and logs an error for each."""
     df = df[df.groupby("block_key")["node_id"].transform("nunique") >= 2]
-    if df.empty:
-        return _pair_meta_empty()
-    return pd.concat(
-        [_block_pair_rows(g, cfg) for _, g in df.groupby("block_key", sort=True)],
-        ignore_index=True,
-    )
+    rows = [_block_pair_rows(g, cfg) for _, g in df.groupby("block_key", sort=True)]
+    rows = [r for r in rows if r is not None]
+    if not rows:
+        return PAIR_META_SCHEMA.empty_table()
+    return pd.concat(rows, ignore_index=True)
 
 
 def candidate_pairs(raw_entities_ds, cfg: Optional[DomainConfig] = None):

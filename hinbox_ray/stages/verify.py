@@ -10,10 +10,13 @@ JSONL (src/engine/merge_dispute_agent.py:211-219).
 
 This engine's deterministic analog:
 
-- ``PairVerifier`` — an actor-pool ``map_batches`` class: rule state and
-  the memo LRU are built once per actor in ``__init__`` (exactly where
-  the reference's client + LRU live); verdicts are MATCH / SKIP / DEFER.
-  A real LLM checker replaces ``_decide`` only.
+- ``PairVerifier`` — a callable instance that ``verify_pairs`` maps as
+  plain tasks, fused into the output tasks of the ``(u, v)`` pair-dedup
+  exchange: no operator and no actor process of its own. The instance
+  is built by ``verify_pairs`` and pickled to each task, so its memo LRU
+  is built lazily on first call, once per task; verdicts are MATCH /
+  SKIP / DEFER. A real LLM checker replaces ``_decide_uncached`` only, and
+  builds any heavy state (its client) lazily in the same way.
 - Round 2: the verdict GATES the merge (reference semantics) —
   ``resolve.candidate_edges_with_verdicts`` keeps only MATCH pairs as
   edges (DEFER per policy), so swapping the verifier class changes
@@ -29,7 +32,7 @@ This engine's deterministic analog:
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -48,13 +51,18 @@ _GRAY_BAND = 0.05  # reference: src/constants.py:29-33
 
 
 class PairVerifier:
-    """Actor-pool stage: candidate pair rows → verdict rows."""
+    """Task stage: candidate pair rows → verdict rows."""
 
     def __init__(self, cfg: Optional[DomainConfig] = None, memo_size: int = 8192):
         self.cfg = cfg or DomainConfig()
-        # per-actor memo, the analog of the reference's per-run LRU
-        # (match_checker.py:117-128, default 8192 entries)
-        self._decide = lru_cache(maxsize=memo_size)(self._decide_uncached)
+        self.memo_size = memo_size
+
+    @cached_property
+    def _decide(self):
+        # per-task memo, the analog of the reference's per-run LRU
+        # (match_checker.py:117-128, default 8192 entries); built on
+        # first use so the instance pickles until then
+        return lru_cache(maxsize=self.memo_size)(self._decide_uncached)
 
     def _decide_uncached(
         self,
@@ -130,18 +138,21 @@ def candidate_pairs_with_meta(raw_entities_ds, cfg: Optional[DomainConfig] = Non
 
 
 def verify_pairs(pairs_ds, cfg: Optional[DomainConfig] = None, *, verifier_cls=None):
-    """Run the verifier actor pool over candidate pairs: an autoscaling
-    pool of 1–2 actors, so an input of one block starts one actor.
+    """Verify candidate pairs as plain tasks: one verifier instance,
+    built here and shipped to each task, runs once per input block.
+    With no batch size Ray fuses it into the output tasks of the pair
+    exchange, so it adds no operator and starts no actor (a fresh actor
+    imports ray and ray.data before its first batch: 0.74-0.98 s
+    measured on a 1-core VM).
 
     ``verifier_cls`` swaps the decision model (an LLM-backed checker in
-    a real deployment; a forced-verdict stub in tests)."""
+    a real deployment; a forced-verdict stub in tests); it is built
+    with ``cfg=cfg`` and must pickle, so heavy state is built lazily on
+    first call."""
     return pairs_ds.map_batches(
-        verifier_cls or PairVerifier,
-        fn_constructor_kwargs={"cfg": cfg},
+        (verifier_cls or PairVerifier)(cfg=cfg),
         batch_format="pyarrow",
-        batch_size=1024,
-        concurrency=(1, 2),
-        num_cpus=1,
+        batch_size=None,
     )
 
 

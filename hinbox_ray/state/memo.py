@@ -119,13 +119,18 @@ def extract_with_memo(
     """docs → mentions, extracting ONLY memo misses.
 
     Returns (mentions Dataset, stats {"hits": H, "misses": M}). Misses
-    are extracted with the standard actor pool, their results appended
+    are extracted with ``extract_mentions``' actor pool (its sizing
+    rule when ``concurrency`` is None), their results appended
     to the memo (index + data); hits are replayed from the memo data
     files without touching the extractor.
     """
     import ray.data as rd
 
-    from ..stages.mentions import MENTIONS_SCHEMA, MentionExtractor
+    from ..stages.mentions import (
+        MENTIONS_SCHEMA,
+        MentionExtractor,
+        extract_mentions,
+    )
 
     cfg = cfg or DomainConfig()
     keyed = docs_ds.map_batches(
@@ -206,22 +211,12 @@ def extract_with_memo(
                     "memo_key", pa.array(mk, type=pa.string())
                 )
 
-        if concurrency is None:
-            import ray as _ray
-
-            n_cpu = (
-                int(_ray.cluster_resources().get("CPU", 4))
-                if _ray.is_initialized()
-                else 4
-            )
-            concurrency = max(2, (n_cpu * 3) // 4)
-        data_rows = misses.map_batches(
-            _MemoExtractor,
-            fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            batch_size=batch_size,
+        data_rows = extract_mentions(
+            misses,
+            cfg,
             concurrency=concurrency,
-            num_cpus=1,
+            batch_size=batch_size,
+            extractor_cls=_MemoExtractor,
         ).materialize()
         mentions_fresh = data_rows.drop_columns(["memo_key"])
         _atomic_write_dir(data_rows, os.path.join(memo_dir, "data"))

@@ -2,8 +2,10 @@
 
 Each map operator in a Dataset's logical plan carries its compute
 strategy. A stage whose ``__init__`` builds nothing runs as tasks, so a
-query made only of such stages starts no actor process; the mention
-extractor (a compiled lexicon per actor) stays an actor pool.
+query made only of such stages starts no actor process. The pair
+verifier builds its memo lazily and runs as tasks too, so ``build_kg``
+starts one actor pool: the mention extractor (a compiled lexicon per
+actor).
 """
 
 from __future__ import annotations
@@ -60,3 +62,31 @@ def test_mention_extractor_is_an_actor_pool(ray_session):
         )
     )
     assert len(_actor_maps(extract_mentions(docs, concurrency=1))) == 1
+
+
+def test_pair_verifier_runs_as_tasks(ray_session):
+    """The verifier maps an instance, not a class: no actor pool of its
+    own, and Ray fuses it into the pair-dedup exchange's output tasks."""
+    from hinbox_ray.stages.cogroup import bucketed_drop_duplicates
+    from hinbox_ray.stages.verify import MATCH, verify_pairs
+
+    pairs = rd.from_arrow(
+        pa.table(
+            {
+                "u": [1],
+                "v": [2],
+                "entity_type": ["organizations"],
+                "name_u": ["Department of Defense"],
+                "name_v": ["DoD"],
+                "start_date_u": [""],
+                "start_date_v": [""],
+                "aliases_u": [""],
+                "aliases_v": [""],
+            }
+        )
+    )
+    assert _actor_maps(verify_pairs(pairs)) == []
+    verdicts = verify_pairs(bucketed_drop_duplicates(pairs, ["u", "v"]))
+    verdicts = verdicts.materialize()
+    assert verdicts.take_all()[0]["verdict"] == MATCH
+    assert "MapBatches(run)->MapBatches(PairVerifier)" in verdicts.stats()

@@ -37,6 +37,24 @@ def test_verifier_memo_hits():
     assert v._decide.cache_info().hits >= 1
 
 
+def test_verifier_pickles_before_first_use():
+    """verify_pairs builds one verifier in the calling process and ships
+    it to each task: a fresh instance round-trips through cloudpickle,
+    decides as the original does and builds its memo on the far side."""
+    from ray import cloudpickle
+
+    v = PairVerifier()
+    w = cloudpickle.loads(cloudpickle.dumps(v))
+    for args in (
+        ("organizations", "Department of Defense", "DoD", "", ""),
+        ("organizations", "defense departments", "DoD", "", ""),
+        ("people", "Alice Smith", "Bob Jones", "", ""),
+    ):
+        assert w._decide(*args) == v._decide(*args)
+    w._decide("people", "Alice Smith", "Bob Jones", "", "")
+    assert w._decide.cache_info().hits >= 1
+
+
 def test_pipeline_and_review_queue(ray_session, tmp_path):
     from hinbox_ray.sources.pages import generate_pages_table
     from hinbox_ray.stages.extract import extract_and_filter
